@@ -144,30 +144,23 @@ def adherence_structure(
 
 
 def adh0_table(cs: ConvergenceStructure) -> tuple[int, ...]:
-    """Raw adherence: join of limits over all filters meshing the element."""
-    lat = cs.lattice
-    rows = _nonzero_meet_rows(lat)
-    return tuple(
-        lat.join_of(cs.limtab[g] for g in bits(rows[l])) for l in range(lat.n)
-    )
+    """Raw adherence: join of limits over all filters meshing the element.
+    Built once per structure (see ``ConvergenceStructure.adh0``)."""
+    return cs.adh0
 
 
 def adh0(cs: ConvergenceStructure, l: int) -> int:
-    return adh0_table(cs)[l]
+    return cs.adh0[l]
 
 
 def adh_table(cs: ConvergenceStructure) -> tuple[int, ...]:
-    """Adherence corrected to be infimum-determined by complemented elements."""
-    lat = cs.lattice
-    raw = adh0_table(cs)
-    comp = analyze(lat).complemented
-    return tuple(
-        lat.meet_of(raw[a] for a in bits(lat.up[l] & comp)) for l in range(lat.n)
-    )
+    """Adherence corrected to be infimum-determined by complemented elements.
+    Built once per structure (see ``ConvergenceStructure.adh``)."""
+    return cs.adh
 
 
 def adh(cs: ConvergenceStructure, l: int) -> int:
-    return adh_table(cs)[l]
+    return cs.adh[l]
 
 
 def adh_structure_of(cs: ConvergenceStructure) -> AdherenceStructure:
@@ -222,18 +215,10 @@ def closed_sets(
         return ClosedReport(
             quasi_closed=quasi, closed=tuple(l for l in quasi if comp >> l & 1)
         )
-    raw = adh0_table(x)
-    corrected = adh_table(x)
-    quasi = tuple(l for l in range(lat.n) if lat.leq(raw[l], l))
-    closed = tuple(l for l in quasi if comp >> l & 1)
-    via_corrected = tuple(
-        l for l in range(lat.n) if comp >> l & 1 and lat.leq(corrected[l], l)
-    )
-    assert closed == via_corrected, (
-        "raw and corrected adherence must agree about closedness of "
-        "complemented elements"
-    )
-    return ClosedReport(quasi_closed=quasi, closed=closed)
+    assert x.closed == tuple(
+        l for l in range(lat.n) if comp >> l & 1 and lat.leq(x.adh[l], l)
+    ), "raw and corrected adherence must agree about closedness of complemented elements"
+    return ClosedReport(quasi_closed=x.quasi_closed, closed=x.closed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,15 @@ The module provides classification (classical / limit / strict /
 pretopological / centered / topological), continuity and finality of coframe
 morphisms, the one-step and iterated modifications that complete a structure
 into a limit (or pretopological) one, final lifts along sinks, and points.
+A structure builds its adherence tables and closed elements on first use and
+keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -22,7 +25,7 @@ from .errors import (
     IterationBound,
     NotDistributive,
 )
-from .filters import Filter, _preimage_generator
+from .filters import Filter, _nonzero_meet_rows, _preimage_generator
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
@@ -35,6 +38,8 @@ from .lattice import (
 __all__ = [
     "ConvergenceStructure",
     "StructureClass",
+    "ClassFlags",
+    "CLASS_COST_ORDER",
     "ContinuityReport",
     "convergence_structure",
     "lim",
@@ -84,6 +89,36 @@ class ConvergenceStructure:
         )
         return f"ConvergenceStructure({self.lattice.name}: {vals})"
 
+    # Derived tables, each built on first use and kept with the structure.
+
+    @cached_property
+    def adh0(self) -> tuple[int, ...]:
+        """Raw adherence: join of limits over all filters meshing the element."""
+        lat, tab = self.lattice, self.limtab
+        rows = _nonzero_meet_rows(lat)
+        return tuple(lat.join_of(tab[g] for g in bits(rows[l])) for l in range(lat.n))
+
+    @cached_property
+    def adh(self) -> tuple[int, ...]:
+        """Adherence corrected to be infimum-determined by complemented elements."""
+        lat, raw = self.lattice, self.adh0
+        comp = analyze(lat).complemented
+        return tuple(
+            lat.meet_of(raw[a] for a in bits(lat.up[l] & comp)) for l in range(lat.n)
+        )
+
+    @cached_property
+    def quasi_closed(self) -> tuple[int, ...]:
+        """Elements whose raw adherence stays below them."""
+        lat, raw = self.lattice, self.adh0
+        return tuple(l for l in range(lat.n) if lat.leq(raw[l], l))
+
+    @cached_property
+    def closed(self) -> tuple[int, ...]:
+        """The closed elements: the complemented quasi-closed ones."""
+        comp = analyze(self.lattice).complemented
+        return tuple(l for l in self.quasi_closed if comp >> l & 1)
+
 
 def convergence_structure(
     lattice: FiniteLattice, limtab: Sequence[int]
@@ -106,8 +141,9 @@ def lim(cs: ConvergenceStructure, f: Filter) -> int:
 class StructureClass:
     """Which structure classes a convergence structure belongs to.
 
-    ``pretopological_sampled`` marks that the family check was randomized
-    (carrier too large for the exhaustive scan) rather than exhaustive.
+    Every flag is exact at every carrier size: on a finite carrier the
+    pretopological law over arbitrary families reduces to its empty and
+    binary cases, so ``pretopological`` is ``strict and limit``.
     """
 
     classical: bool
@@ -116,7 +152,6 @@ class StructureClass:
     pretopological: bool
     centered: bool
     topological: bool
-    pretopological_sampled: bool = False
 
     def flags(self) -> dict[str, bool]:
         return {
@@ -129,98 +164,94 @@ class StructureClass:
         }
 
 
-_EXHAUSTIVE_FAMILY_BITS = 12
+# Each class test reads the structure and, for flags derived from other
+# flags, the memoising mapping it is evaluated through.
 
 
-def _pretopological(
-    cs: ConvergenceStructure, seed: int, sample_count: int
-) -> tuple[bool, bool]:
-    """Limits must turn arbitrary filter intersections into limit infima.
+def _strict(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
+    return cs.limtab[cs.lattice.bottom] == cs.lattice.top
 
-    A family of filters intersects to the filter generated by the join of the
-    generators; the empty family intersects to the improper filter (generated
-    by bottom) and the empty infimum of limits is top, so pretopological
-    structures are in particular strict.  Exhaustive over all families while
-    ``2**n`` is small; seeded sampling (reported via the second component)
-    beyond that.
-    """
+
+def _limit(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
     lat, tab = cs.lattice, cs.limtab
-    n = lat.n
-    if n <= _EXHAUSTIVE_FAMILY_BITS:
-        size = 1 << n
-        join_gen = [lat.bottom] * size
-        meet_lim = [lat.top] * size
-        for s in range(1, size):
-            low = s & -s
-            g = low.bit_length() - 1
-            rest = s ^ low
-            join_gen[s] = lat.join(join_gen[rest], g)
-            meet_lim[s] = lat.meet(meet_lim[rest], tab[g])
-        ok = all(tab[join_gen[s]] == meet_lim[s] for s in range(size))
-        return ok, False
-    import random
-
-    rng = random.Random(seed)
-    full = lat.full_mask
-    samples = [0, full] + [rng.getrandbits(n) for _ in range(sample_count)]
-    for s in samples:
-        members = list(bits(s & full))
-        j = lat.join_of(members)
-        m = lat.meet_of(tab[g] for g in members)
-        if tab[j] != m:
-            return False, True
-    return True, True
+    return all(
+        tab[lat.join(g, h)] == lat.meet(tab[g], tab[h])
+        for g in range(lat.n)
+        for h in range(g, lat.n)
+    )
 
 
-def classify(
-    cs: ConvergenceStructure, *, seed: int = 0, sample_count: int = 4096
-) -> StructureClass:
-    """Membership of the structure in each of the six classes.
+def _classical(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
+    lat, tab = cs.lattice, cs.limtab
+    comp = analyze(lat).complemented
+    return all(
+        tab[g] == tab[lat.meet_of(bits(lat.up[g] & comp))] for g in range(lat.n)
+    )
+
+
+def _centered(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
+    lat, adh = cs.lattice, cs.adh
+    return all(lat.leq(l, adh[l]) for l in range(lat.n))
+
+
+def _topological(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
+    from .topology import is_topological  # deferred: topology builds on this module
+
+    return is_topological(cs)
+
+
+# The class tests in ascending cost: strict is O(1), limit and pretopological
+# O(n^2), classical O(n) meets of up-sets, centered needs the adherence table
+# and topological the topological modification.
+_CLASS_TESTS: dict[str, Callable[[ConvergenceStructure, Mapping[str, bool]], bool]] = {
+    "strict": _strict,
+    "limit": _limit,
+    "pretopological": lambda cs, flags: flags["strict"] and flags["limit"],
+    "classical": _classical,
+    "centered": _centered,
+    "topological": _topological,
+}
+
+CLASS_COST_ORDER = tuple(_CLASS_TESTS)
+
+
+class ClassFlags(Mapping[str, bool]):
+    """The class flags of one structure, each computed on first read and
+    kept; iteration yields the names cheapest first."""
+
+    __slots__ = ("structure", "_known")
+
+    def __init__(self, structure: ConvergenceStructure) -> None:
+        self.structure = structure
+        self._known: dict[str, bool] = {}
+
+    def __getitem__(self, name: str) -> bool:
+        known = self._known
+        if name not in known:
+            known[name] = _CLASS_TESTS[name](self.structure, self)
+        return known[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_CLASS_TESTS)
+
+    def __len__(self) -> int:
+        return len(_CLASS_TESTS)
+
+
+def classify(cs: ConvergenceStructure) -> StructureClass:
+    """Membership of the structure in each of the six classes, exact at every
+    carrier size.
 
     - classical: the limit only depends on the complemented members of the
       filter;
     - limit: binary filter intersections map to limit infima;
     - strict: the improper filter converges to top;
-    - pretopological: arbitrary (including empty) intersections map to infima;
+    - pretopological: arbitrary (including empty) intersections map to
+      infima; by induction over finite families this is ``strict and limit``;
     - centered: every element sits below its adherence;
     - topological: equal to its own topological modification.
     """
-    lat, tab = cs.lattice, cs.limtab
-    comp = analyze(lat).complemented
-    classical = all(
-        tab[g] == tab[lat.meet_of(bits(lat.up[g] & comp))] for g in range(lat.n)
-    )
-    limit_flag = all(
-        tab[lat.join(g, h)] == lat.meet(tab[g], tab[h])
-        for g in range(lat.n)
-        for h in range(g, lat.n)
-    )
-    strict = tab[lat.bottom] == lat.top
-    pretop, sampled = _pretopological(cs, seed, sample_count)
-
-    from .adherence import adh_table  # deferred: adherence builds on this module
-
-    adh = adh_table(cs)
-    centered = all(lat.leq(l, adh[l]) for l in range(lat.n))
-
-    from .topology import topological_modification  # deferred, as above
-
-    topological = tab == topological_modification(cs).limtab
-    if topological:
-        assert pretop, "topological structures must be pretopological"
-    if pretop and not sampled:
-        assert strict and limit_flag, (
-            "pretopological structures must be strict limit structures"
-        )
-    return StructureClass(
-        classical=classical,
-        limit=limit_flag,
-        strict=strict,
-        pretopological=pretop,
-        centered=centered,
-        topological=topological,
-        pretopological_sampled=sampled,
-    )
+    return StructureClass(**ClassFlags(cs))
 
 
 # ---------------------------------------------------------------------------

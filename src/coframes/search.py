@@ -4,10 +4,16 @@ Conjectures come from a deliberately tiny grammar: a conjunction of named
 class predicates, optionally implying another conjunction
 (``"centered & pretopological => topological"``).  The search tries the
 built-in fixture corpus first, then exhaustively sweeps every structure on
-every distributive lattice up to a size bound (generated as downset
-lattices of all small posets, which reaches every finite distributive
-lattice up to isomorphism), and finally draws seeded random samples from
+the carriers of :func:`small_coframes` up to a size bound (down-set lattices
+of posets with at most five points: every distributive lattice with at most
+six elements, but not the larger ones with more than five join-irreducibles,
+such as the 7-element chain), and finally draws seeded random samples from
 slightly larger carriers.  Results are a pure function of the arguments.
+
+Each candidate is judged through :class:`~coframes.convergence.ClassFlags`:
+only the flags the conjecture names are computed, cheapest first, and only
+until the verdict is known.  Every flag is exact at every carrier size; a
+full classification runs once, for the reported witness.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
-from .convergence import ConvergenceStructure, classify
+from .convergence import CLASS_COST_ORDER, ClassFlags, ConvergenceStructure, classify
 from .documents import convergence_to_doc
 from .errors import BudgetExceeded, ConjectureError
 from .fixtures import (
@@ -57,27 +63,50 @@ class Conjecture:
     antecedent: tuple[str, ...]
     consequent: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        # refuted_by reads only the names it knows, so unknown ones must not
+        # get this far
+        for name in self.antecedent + self.consequent:
+            if name not in PREDICATES:
+                raise ConjectureError(
+                    f"unknown predicate {name!r}; choose from {', '.join(PREDICATES)}"
+                )
+
     def text(self) -> str:
         rhs = " & ".join(self.consequent)
         if not self.antecedent:
             return rhs
         return " & ".join(self.antecedent) + " => " + rhs
 
-    def refuted_by(self, flags: dict[str, bool]) -> bool:
-        return all(flags[p] for p in self.antecedent) and not all(
-            flags[p] for p in self.consequent
-        )
+    def refuted_by(self, flags: Mapping[str, bool]) -> bool:
+        """Whether the flags satisfy the antecedent and break the consequent.
+
+        The named flags are read cheapest first (``CLASS_COST_ORDER``), and
+        reading stops once an antecedent flag is false or every consequent
+        flag is true, so a lazy mapping such as :class:`ClassFlags` computes
+        only what the answer needs.
+        """
+        unread = set(self.consequent)
+        broken = False  # some consequent flag is false
+        for name in CLASS_COST_ORDER:
+            in_antecedent = name in self.antecedent
+            if not in_antecedent and (broken or name not in unread):
+                continue
+            value = flags[name]
+            if in_antecedent and not value:
+                return False
+            if name in unread:
+                unread.discard(name)
+                broken = not value or broken
+                if not unread and not broken:
+                    return False
+        return broken
 
 
 def _parse_conjunction(text: str, side: str) -> tuple[str, ...]:
     names = [part.strip() for part in text.split("&")]
     if any(not name for name in names):
         raise ConjectureError(f"empty predicate in the {side} of {text!r}")
-    for name in names:
-        if name not in PREDICATES:
-            raise ConjectureError(
-                f"unknown predicate {name!r}; choose from {', '.join(PREDICATES)}"
-            )
     seen: list[str] = []
     for name in names:
         if name not in seen:
@@ -126,8 +155,15 @@ def _closed_relations(k: int) -> Iterator[frozenset[tuple[int, int]]]:
 
 
 def small_coframes(max_elements: int) -> Iterator[FiniteLattice]:
-    """All distributive lattices with at most ``max_elements`` elements, up
-    to isomorphism (possibly with repeats), smallest carriers first."""
+    """Distributive lattices with at most ``max_elements`` elements, as
+    down-set lattices of posets with at most five points (possibly with
+    isomorphic repeats), smallest carriers first.
+
+    A finite distributive lattice is the down-set lattice of its
+    join-irreducibles, so this reaches every carrier with at most five of
+    them: all distributive lattices up to six elements, but from seven
+    elements on not those with more join-irreducibles, starting with the
+    7-element chain."""
     emitted: set[tuple[tuple[int, ...], ...]] = set()
     yield build_lattice("D0", ("e",), [])
     for k in range(1, min(max_elements - 1, 5) + 1):
@@ -192,13 +228,13 @@ def search_counterexample(
     structures = 0
     lattices = 0
 
-    def result(origin: str, cs: ConvergenceStructure, flags: dict[str, bool]) -> SearchResult:
+    def result(origin: str, cs: ConvergenceStructure) -> SearchResult:
         return SearchResult(
             conjecture=conjecture,
             outcome="counterexample",
             origin=origin,
             counterexample=cs,
-            flags=flags,
+            flags=classify(cs).flags(),
             structures_tested=structures,
             lattices_tested=lattices,
             max_lattice=max_lattice,
@@ -206,10 +242,9 @@ def search_counterexample(
 
     for name in convergence_fixture_names():
         cs = convergence_fixture(name)
-        flags = classify(cs).flags()
         structures += 1
-        if conjecture.refuted_by(flags):
-            return result(f"fixture:{name}", cs, flags)
+        if conjecture.refuted_by(ClassFlags(cs)):
+            return result(f"fixture:{name}", cs)
 
     for lat in small_coframes(max_lattice):
         lattices += 1
@@ -221,17 +256,16 @@ def search_counterexample(
                     "lower --max-lattice"
                 )
             cs = ConvergenceStructure(lat, tab)
-            flags = classify(cs).flags()
-            if conjecture.refuted_by(flags):
-                return result(f"enumerated:{lat.name}[{lat.n}]", cs, flags)
+            if conjecture.refuted_by(ClassFlags(cs)):
+                return result(f"enumerated:{lat.name}[{lat.n}]", cs)
 
     rng = random.Random(seed)
     for i in range(budget):
         lat = random_downset_lattice(rng, max_elements=max(8, max_lattice))
         cs = ConvergenceStructure(lat, random_antitone_table(rng, lat))
         structures += 1
-        if conjecture.refuted_by(classify(cs).flags()):
-            return result(f"random:{i}", cs, classify(cs).flags())
+        if conjecture.refuted_by(ClassFlags(cs)):
+            return result(f"random:{i}", cs)
 
     return SearchResult(
         conjecture=conjecture,

@@ -153,11 +153,7 @@ def lim_of_C(ts: TopologicalStructure) -> ConvergenceStructure:
 def topological_modification(cs: ConvergenceStructure) -> ConvergenceStructure:
     """The finest topological convergence structure coarser than the input:
     induced by the input's closed elements."""
-    from .adherence import closed_sets  # local import keeps module load acyclic
-
-    report = closed_sets(cs)
-    ts = topological_structure(cs.lattice, report.closed)
-    return lim_of_C(ts)
+    return lim_of_C(topological_structure(cs.lattice, cs.closed))
 
 
 def is_topological(cs: ConvergenceStructure) -> bool:

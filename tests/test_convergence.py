@@ -27,13 +27,15 @@ from coframes.filters import Filter
 from coframes.fixtures import (
     chaotic_structure,
     convergence_fixture,
+    convergence_fixture_names,
     discrete_structure,
     enumerate_antitone_tables,
     lattice_fixture,
     random_convergence_structure,
     random_downset_lattice,
 )
-from coframes.lattice import LatticeMorphism, bits, identity_morphism
+from coframes.lattice import LatticeMorphism, bits, identity_morphism, powerset_lattice
+from coframes.search import small_coframes
 
 
 def table(cs, mapping):
@@ -43,6 +45,23 @@ def table(cs, mapping):
 
 def all_structures(lat):
     return [ConvergenceStructure(lat, t) for t in enumerate_antitone_tables(lat)]
+
+
+def family_scan_pretopological(cs):
+    """The definition: every family of filters, the empty one included,
+    intersects to a filter converging to the infimum of their limits.  A
+    family's intersection is generated by the join of its generators."""
+    lat, tab = cs.lattice, cs.limtab
+    size = 1 << lat.n
+    join_gen = [lat.bottom] * size
+    meet_lim = [lat.top] * size
+    for s in range(1, size):
+        low = s & -s
+        g = low.bit_length() - 1
+        rest = s ^ low
+        join_gen[s] = lat.join(join_gen[rest], g)
+        meet_lim[s] = lat.meet(meet_lim[rest], tab[g])
+    return all(tab[join_gen[s]] == meet_lim[s] for s in range(size))
 
 
 class TestValidation:
@@ -110,13 +129,31 @@ class TestClassify:
         assert not got.topological
 
     def test_pretopological_equals_strict_limit_exhaustive(self):
-        # oracle: the family scan is definitional; on finite carriers it must
-        # coincide with (binary meets preserved) + (improper filter to top)
-        for name in ("CHAIN3", "BOOL2"):
-            for cs in all_structures(lattice_fixture(name)):
-                got = classify(cs)
-                assert got.pretopological == (got.strict and got.limit)
-                assert not got.pretopological_sampled
+        # the flag is computed as strict-and-limit; the family scan is the
+        # definition and must agree on every small structure and fixture
+        corpus = [
+            ConvergenceStructure(lat, t)
+            for lat in small_coframes(6)
+            for t in enumerate_antitone_tables(lat)
+        ]
+        corpus += [convergence_fixture(name) for name in convergence_fixture_names()]
+        for cs in corpus:
+            assert classify(cs).pretopological == family_scan_pretopological(cs), cs
+
+    def test_pretopological_exact_on_large_carriers(self):
+        # P(5), 32 elements: filters at sets of at most k points converge to
+        # top, all others to bottom.  Strict, but two singletons join to a
+        # pair, so binary meets fail; only families of singletons witness
+        # it, which a random sample of the 2^32 families almost never draws.
+        lat = powerset_lattice(tuple("abcde"))
+        for k in (1, 2, 3):
+            tab = tuple(
+                lat.top if bin(s).count("1") <= k else lat.bottom
+                for s in range(lat.n)
+            )
+            got = classify(ConvergenceStructure(lat, tab))
+            assert got.strict and not got.limit
+            assert got.pretopological is False
 
     def test_classical_matches_definition_scan(self):
         # independent oracle: compare limits across all filter pairs sharing
@@ -131,11 +168,6 @@ class TestClassify:
                 if lat.up[g] & comp == lat.up[h] & comp
             )
             assert classify(cs).classical == expected
-
-    def test_sampled_flag_only_on_large_carriers(self):
-        got = classify(convergence_fixture("SIERP_LIM"), sample_count=16)
-        assert not got.pretopological_sampled
-
 
 class TestPoints:
     def test_sierpinski_has_both_points(self):

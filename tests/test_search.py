@@ -4,10 +4,18 @@ counterexample search."""
 import pytest
 
 from coframes import analyze
-from coframes.convergence import classify
+from coframes.adherence import adh0_table, adh_table
+from coframes.convergence import (
+    CLASS_COST_ORDER,
+    ClassFlags,
+    ConvergenceStructure,
+    classify,
+)
 from coframes.documents import convergence_from_doc
 from coframes.errors import ConjectureError
+from coframes.fixtures import enumerate_antitone_tables
 from coframes.search import (
+    PREDICATES,
     Conjecture,
     parse_conjecture,
     search_counterexample,
@@ -54,6 +62,62 @@ class TestGrammar:
         assert c.refuted_by({"strict": True, "centered": False})
         assert not c.refuted_by({"strict": False, "centered": False})
         assert not c.refuted_by({"strict": True, "centered": True})
+
+
+    def test_unknown_predicate_rejected_on_construction(self):
+        with pytest.raises(ConjectureError):
+            Conjecture(("strict",), ("bogus",))
+
+
+class ReadLog(dict):
+    """Flags that record which names were read."""
+
+    def __init__(self, flags):
+        super().__init__(flags)
+        self.read = []
+
+    def __getitem__(self, name):
+        self.read.append(name)
+        return super().__getitem__(name)
+
+
+class TestLazyFlags:
+    STRUCTURES = [
+        ConvergenceStructure(lat, t)
+        for lat in small_coframes(5)
+        for t in enumerate_antitone_tables(lat)
+    ]
+    CONJECTURES = [Conjecture((a,), (b,)) for a in PREDICATES for b in PREDICATES]
+
+    def test_lazy_verdicts_match_full_classification(self):
+        for cs in self.STRUCTURES:
+            full = classify(cs)
+            assert not full.topological or full.pretopological, cs
+            for conjecture in self.CONJECTURES:
+                assert conjecture.refuted_by(ClassFlags(cs)) == conjecture.refuted_by(
+                    full.flags()
+                ), (conjecture.text(), cs)
+            assert dict(ClassFlags(cs)) == full.flags()
+
+    def test_derived_tables_are_built_once_per_structure(self):
+        for cs in self.STRUCTURES:
+            assert adh0_table(cs) is adh0_table(cs)
+            assert adh_table(cs) is adh_table(cs)
+
+    def test_flags_read_cheapest_first_and_only_until_known(self):
+        flags = dict.fromkeys(PREDICATES, True)
+        flags["strict"] = False
+        log = ReadLog(flags)
+        assert parse_conjecture("topological => strict & centered").refuted_by(log)
+        # strict is false, so the consequent fails and centered is skipped
+        assert log.read == ["strict", "topological"]
+        log = ReadLog(flags)
+        assert not parse_conjecture("pretopological & strict => limit").refuted_by(log)
+        assert log.read == ["strict"]
+        log = ReadLog(dict.fromkeys(PREDICATES, True))
+        assert not parse_conjecture("centered => limit & classical").refuted_by(log)
+        assert log.read == ["limit", "classical"]
+        assert list(ClassFlags(self.STRUCTURES[0])) == list(CLASS_COST_ORDER)
 
 
 class TestSmallCoframes:
