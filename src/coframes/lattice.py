@@ -16,7 +16,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -475,10 +475,20 @@ def sublattice(
 class LatticeReport:
     """Derived structure of a lattice.
 
-    All element sets are bitmasks over element indices.  ``wwb_below[j]`` is
-    the mask of elements ``i`` such that every family whose supremum dominates
-    ``j`` contains a member above ``i`` (the "way-way-below" relation used for
-    prime-continuity).
+    All element sets are bitmasks over element indices.  Every field is
+    exact on every finite lattice, distributive or not, and follows from
+    ``m(x) = sup{s : x is not below s}``:
+
+    - ``join_primes``: ``x`` with ``x <= a v b`` only if ``x <= a`` or
+      ``x <= b`` (bottom excluded), i.e. ``x`` not below ``m(x)``;
+    - ``meet_primes``: dually, ``x`` not above ``inf{s : s is not below x}``;
+    - ``distributive``: every join-irreducible element is join-prime
+      (Birkhoff);
+    - ``wwb_below[j]``: the ``i`` such that every family whose supremum
+      dominates ``j`` contains a member above ``i`` (the "way-way-below"
+      relation used for prime-continuity), i.e. ``j`` not below ``m(i)``,
+      since ``{s : i is not below s}`` is the largest family without a
+      member above ``i``.
     """
 
     distributive: bool
@@ -489,204 +499,93 @@ class LatticeReport:
     spatial: bool
     prime_continuous: bool
     wwb_below: tuple[int, ...]
-    distributivity_sampled: bool = False
 
     def complemented_list(self) -> list[int]:
         return list(bits(self.complemented))
 
 
-def _distributive(lattice: FiniteLattice) -> tuple[bool, bool]:
-    """(is distributive, was sampled).  Full scan when feasible."""
-    n = lattice.n
-    meet, join = lattice.meet, lattice.join
-    if n <= 128:
-        rng_triples: Iterable[tuple[int, int, int]] = (
-            (x, y, z) for x in range(n) for y in range(n) for z in range(n)
-        )
-        sampled = False
-    else:
-        # Powerset-scale carriers: &/| over masks distribute as an integer
-        # identity; we still spot-check a deterministic sample.
-        import random
+def _fold(
+    op: Callable[[int, int], int],
+    rows: Sequence[int],
+    acc: int,
+    mask: int,
+    from_high: bool,
+) -> int:
+    """``op`` (a join with ``down`` rows, or a meet with ``up`` rows) over
+    the members of ``mask``, starting at ``acc``.
 
-        rng = random.Random(0)
-        rng_triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(5000)
-        )
-        sampled = True
-    for x, y, z in rng_triples:
-        if meet(x, join(y, z)) != join(meet(x, y), meet(x, z)):
-            return False, sampled
-    return True, sampled
-
-
-def _join_primes(lattice: FiniteLattice) -> int:
-    """Mask of join-prime elements (x ≤ a∨b implies x ≤ a or x ≤ b, x ≠ ⊥)."""
-    n = lattice.n
-    if lattice.op_mode == _MASK:
-        # subsets of the ground set: exactly the singletons
-        return sum(1 << i for i in range(n) if i.bit_count() == 1)
-    if lattice.op_mode == _MASK_DUAL:
-        # dual powerset: exactly the co-singletons (bottom is the full subset)
-        return sum(
-            1 << i for i in range(n) if (lattice.bottom ^ i).bit_count() == 1
-        )
-    out = 0
-    for x in range(n):
-        if x == lattice.bottom:
-            continue
-        prime = True
-        for a in range(n):
-            if not prime:
-                break
-            if lattice.leq(x, a):
-                continue
-            for b in range(n):
-                j = lattice.join(a, b)
-                if lattice.leq(x, j) and not lattice.leq(x, b):
-                    prime = False
-                    break
-        if prime:
-            out |= 1 << x
-    return out
-
-
-def _meet_primes(lattice: FiniteLattice) -> int:
-    n = lattice.n
-    if lattice.op_mode == _MASK:
-        return sum(1 << i for i in range(n) if (lattice.top ^ i).bit_count() == 1)
-    if lattice.op_mode == _MASK_DUAL:
-        return sum(1 << i for i in range(n) if i.bit_count() == 1)
-    out = 0
-    for x in range(n):
-        if x == lattice.top:
-            continue
-        prime = True
-        for a in range(n):
-            if not prime:
-                break
-            if lattice.leq(a, x):
-                continue
-            for b in range(n):
-                m = lattice.meet(a, b)
-                if lattice.leq(m, x) and not lattice.leq(b, x):
-                    prime = False
-                    break
-        if prime:
-            out |= 1 << x
-    return out
-
-
-_WWB_BRUTE_LIMIT = 16
-
-
-def wwb_brute_force(lattice: FiniteLattice) -> tuple[int, ...]:
-    """Way-way-below rows by scanning every family of elements.
-
-    ``i`` is way-way-below ``j`` iff every subset ``S`` with ``j <= sup S``
-    contains some ``s >= i``.  Exponential; the oracle for the distributive
-    shortcut.
+    Members already absorbed by the running result are skipped, so a join
+    that picks maximal members first takes one step per maximal member.
+    Mask, down-set and sublattice carriers index their elements along a
+    linear extension (dual mask carriers against one), hence ``from_high``;
+    any pick order gives the same result.
     """
-    n = lattice.n
-    if n > _WWB_BRUTE_LIMIT:
-        raise BudgetExceeded(
-            f"way-way-below brute force on {n} elements (limit {_WWB_BRUTE_LIMIT})"
-        )
-    full = lattice.full_mask
-    not_wwb = [0] * n  # not_wwb[j]: mask of i refuted as way-way-below j
-    sup = [lattice.bottom] * (1 << n)
-    covered = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        e = low.bit_length() - 1
-        rest = s ^ low
-        sup[s] = lattice.join(sup[rest], e)
-        covered[s] = covered[rest] | lattice.down[e]
-        gap = full & ~covered[s]
-        if gap:
-            for j in bits(lattice.down[sup[s]]):
-                not_wwb[j] |= gap
-    # the empty family: sup is bottom, nothing is covered
-    not_wwb[lattice.bottom] = full
-    return tuple(full & ~row for row in not_wwb)
-
-
-def wwb_distributive_closed_form(
-    lattice: FiniteLattice, join_primes: int
-) -> tuple[int, ...]:
-    """Way-way-below rows for a finite distributive lattice, in closed form.
-
-    Every family covering ``j`` refines to a family of join-primes, and a
-    prime family covers ``j`` exactly when each join-prime ``p <= j`` sits
-    below some member.  A refutation therefore exists unless some join-prime
-    ``p <= j`` has *all* join-primes above it already above ``i``; hence
-    ``i`` is way-way-below ``j`` iff ``i <= inf{q join-prime : q >= p}`` for
-    some join-prime ``p <= j``.  The exhaustive scan cross-checks this on
-    every small carrier in the test suite.
-    """
-    hull = {
-        p: lattice.meet_of(q for q in bits(join_primes) if lattice.leq(p, q))
-        for p in bits(join_primes)
-    }
-    rows = []
-    for j in range(lattice.n):
-        row = 0
-        for p in bits(join_primes & lattice.down[j]):
-            row |= lattice.down[hull[p]]
-        rows.append(row)
-    return tuple(rows)
-
-
-def _wwb_rows(lattice: FiniteLattice, distributive: bool, join_primes: int) -> tuple[int, ...]:
-    if lattice.n <= _WWB_BRUTE_LIMIT:
-        return wwb_brute_force(lattice)
-    if distributive:
-        return wwb_distributive_closed_form(lattice, join_primes)
-    raise BudgetExceeded(
-        "way-way-below on a large non-distributive lattice is out of budget"
-    )
+    while mask:
+        s = mask.bit_length() - 1 if from_high else (mask & -mask).bit_length() - 1
+        acc = op(acc, s)
+        mask &= ~rows[acc]
+    return acc
 
 
 @lru_cache(maxsize=None)
 def analyze(lattice: FiniteLattice) -> LatticeReport:
     """Derived structure: distributivity, complemented part, primes,
-    spatiality, prime-continuity, way-way-below rows.
+    spatiality, prime-continuity, way-way-below rows (see
+    :class:`LatticeReport`).
 
+    One join ``m(x)`` and one meet per element give the primes and the
+    way-way-below rows; one join of the strict down-set per element gives
+    the join-irreducibles.  Every answer is exact, no path is exponential
+    or sampled, and the whole analysis is O(n^2) lattice operations.
     Cached per carrier (lattices are immutable and identity-compared).
     """
-    n = lattice.n
-    distributive, sampled = _distributive(lattice)
+    n, full = lattice.n, lattice.full_mask
+    up, down, bottom, top = lattice.up, lattice.down, lattice.bottom, lattice.top
+    high = lattice.op_mode != _MASK_DUAL
+
+    def sup(mask: int) -> int:
+        return _fold(lattice.join, down, bottom, mask, high)
+
+    def inf(mask: int) -> int:
+        return _fold(lattice.meet, up, top, mask, not high)
+
     # complemented elements and a canonical complement (least index)
     complemented = 0
     complement = [-1] * n
     if lattice.op_mode == _MASK:
-        top = lattice.top
-        complemented = lattice.full_mask
+        complemented = full
         complement = [top ^ i for i in range(n)]
     elif lattice.op_mode == _MASK_DUAL:
-        bot = lattice.bottom
-        complemented = lattice.full_mask
-        complement = [bot ^ i for i in range(n)]
+        complemented = full
+        complement = [bottom ^ i for i in range(n)]
     else:
         for x in range(n):
             for y in range(n):
-                if (
-                    lattice.meet(x, y) == lattice.bottom
-                    and lattice.join(x, y) == lattice.top
-                ):
+                if lattice.meet(x, y) == bottom and lattice.join(x, y) == top:
                     complemented |= 1 << x
                     complement[x] = y
                     break
-    join_primes = _join_primes(lattice)
-    meet_primes = _meet_primes(lattice)
-    spatial = all(
-        lattice.join_of(bits(join_primes & lattice.down[x])) == x for x in range(n)
+    m = [sup(full & ~up[x]) for x in range(n)]
+    join_primes = sum(1 << x for x in range(n) if not up[x] >> m[x] & 1)
+    meet_primes = sum(
+        1 << x for x in range(n) if not down[x] >> inf(full & ~down[x]) & 1
     )
-    wwb = _wwb_rows(lattice, distributive, join_primes)
-    prime_continuous = all(
-        lattice.join_of(bits(wwb[x])) == x for x in range(n)
+    # Join-primes are join-irreducible; the lattice is distributive iff the
+    # converse holds, i.e. every other element is the join of those below
+    # it.  Mask carriers are powersets, distributive by construction.
+    distributive = lattice.op_mode != _TABLES or all(
+        sup(down[x] ^ 1 << x) == x for x in bits(full & ~join_primes)
     )
+    spatial = all(sup(join_primes & down[x]) == x for x in range(n))
+    # i is way-way-below j iff j is not below m(i); group the i by m(i).
+    by_m: dict[int, int] = {}
+    for i, v in enumerate(m):
+        by_m[v] = by_m.get(v, 0) | 1 << i
+    wwb = tuple(
+        sum(group for v, group in by_m.items() if not up[j] >> v & 1)
+        for j in range(n)
+    )
+    prime_continuous = all(sup(wwb[x]) == x for x in range(n))
     return LatticeReport(
         distributive=distributive,
         complemented=complemented,
@@ -696,7 +595,6 @@ def analyze(lattice: FiniteLattice) -> LatticeReport:
         spatial=spatial,
         prime_continuous=prime_continuous,
         wwb_below=wwb,
-        distributivity_sampled=sampled,
     )
 
 

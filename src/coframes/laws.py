@@ -152,6 +152,18 @@ def _coframe_corpus(rng: random.Random, budget: int) -> list[tuple[str, FiniteLa
     return corpus
 
 
+def _distributive_by_triples(lat: FiniteLattice) -> bool:
+    """The definition, x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z) for every triple: the
+    oracle for the Birkhoff test in :func:`analyze`."""
+    meet, join, n = lat.meet, lat.join, lat.n
+    return all(
+        meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
 def _suite_lattice(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     rep = SuiteReport("lattice")
     corpus = _coframe_corpus(rng, budget)
@@ -159,14 +171,14 @@ def _suite_lattice(rng: random.Random, budget: int, inject: bool) -> SuiteReport
         corpus.append(("injected-M3", lattice_fixture("M3")))
     for origin, lat in corpus:
         witness = {"origin": origin, "lattice": _doc(lat)}
-        rep._law(
-            "distributive",
-            witness,
-            lambda lat=lat: (
-                analyze(lat).distributive,
-                "corpus lattice is not a coframe",
-            ),
-        )
+
+        def distributive(lat=lat):
+            fast, literal = analyze(lat).distributive, _distributive_by_triples(lat)
+            if fast != literal:
+                return False, f"analyze says distributive={fast}, the triple scan {literal}"
+            return literal, "corpus lattice is not a coframe"
+
+        rep._law("distributive", witness, distributive)
         rep._law(
             "dualize-involution",
             witness,
@@ -354,8 +366,6 @@ def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteRe
             flags = classify(cs)
             if flags.topological and not flags.pretopological:
                 return False, "topological but not pretopological"
-            if flags.pretopological and not (flags.strict and flags.limit):
-                return False, "pretopological but not a strict limit structure"
             return True, ""
 
         rep._law("classification-implications", witness, implications)

@@ -157,7 +157,18 @@ def topological_modification(cs: ConvergenceStructure) -> ConvergenceStructure:
 
 
 def is_topological(cs: ConvergenceStructure) -> bool:
-    return cs.limtab == topological_modification(cs).limtab
+    """Whether the structure equals its topological modification, compared
+    entry by entry without building the modification: each filter must
+    converge to the infimum of the closed elements it meshes."""
+    lat, tab = cs.lattice, cs.limtab
+    # the improper filter meshes nothing, so it must converge to top
+    if tab[lat.bottom] != lat.top:
+        return False
+    rows = _nonzero_meet_rows(lat)
+    closed = sum(1 << c for c in cs.closed)
+    return all(
+        tab[g] == lat.meet_of(bits(rows[g] & closed)) for g in range(lat.n)
+    )
 
 
 def maps_closed_to_closed(

@@ -11,8 +11,10 @@ from coframes.documents import (
     canonical_json,
     convergence_from_doc,
     load_document,
+    structure_to_doc,
 )
 from coframes.convergence import classify
+from coframes.lattice import build_lattice
 
 
 def run(capsys, argv):
@@ -78,6 +80,22 @@ class TestValidateCommand:
         code, out, _ = run(capsys, ["validate", str(path)])
         assert code == 0
         assert "distributive: False" in out
+
+    def test_large_non_distributive_lattice_passes_but_is_flagged(
+        self, capsys, monkeypatch
+    ):
+        # a 16-chain under the diamond M3: 20 elements, analysed exactly
+        chain = [f"c{i}" for i in range(16)]
+        covers = list(zip(chain, chain[1:]))
+        covers += [("c15", x) for x in "abc"] + [(x, "t") for x in "abc"]
+        lat = build_lattice("CHAIN16+M3", chain + ["a", "b", "c", "t"], covers)
+        doc = canonical_json(structure_to_doc(lat))
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, _ = run(capsys, ["validate", "-", "--json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["elements"] == 20
+        assert report["distributive"] is False
 
     def test_stdin_dash(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["fixtures", "--name", "CHAIN3"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coframes import (
+    ConvergenceStructure,
     CyclicCovers,
     NotALattice,
     NotAMorphism,
@@ -27,13 +28,9 @@ from coframes import (
     pseudocomplement,
     sublattice,
 )
-from coframes.lattice import (
-    LatticeMorphism,
-    bits,
-    wwb_brute_force,
-    wwb_distributive_closed_form,
-)
+from coframes.lattice import LatticeMorphism, bits
 from coframes.fixtures import lattice_fixture, lattice_fixture_names, random_poset
+from coframes.search import small_coframes
 
 
 def mask_of(lat, labels):
@@ -47,6 +44,122 @@ def posets(draw, max_size: int = 4):
     chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     labels = tuple(f"p{i}" for i in range(size))
     return poset_from_covers(labels, [(labels[i], labels[j]) for i, j in chosen])
+
+
+# ---------------------------------------------------------------------------
+# oracles: the literal definitions behind ``analyze``
+
+
+def distributive_by_triples(lat) -> bool:
+    """x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z) for every triple."""
+    meet, join = lat.meet, lat.join
+    return all(
+        meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
+        for x in range(lat.n)
+        for y in range(lat.n)
+        for z in range(lat.n)
+    )
+
+
+def join_primes_by_scan(lat) -> int:
+    """x ≠ ⊥ with x ≤ a ∨ b only if x ≤ a or x ≤ b."""
+    out = 0
+    for x in range(lat.n):
+        if x != lat.bottom and all(
+            lat.leq(x, a) or lat.leq(x, b)
+            for a in range(lat.n)
+            for b in range(lat.n)
+            if lat.leq(x, lat.join(a, b))
+        ):
+            out |= 1 << x
+    return out
+
+
+def meet_primes_by_scan(lat) -> int:
+    """x ≠ ⊤ with a ∧ b ≤ x only if a ≤ x or b ≤ x."""
+    out = 0
+    for x in range(lat.n):
+        if x != lat.top and all(
+            lat.leq(a, x) or lat.leq(b, x)
+            for a in range(lat.n)
+            for b in range(lat.n)
+            if lat.leq(lat.meet(a, b), x)
+        ):
+            out |= 1 << x
+    return out
+
+
+def wwb_brute_force(lat) -> tuple[int, ...]:
+    """Way-way-below rows by scanning every family of elements.
+
+    ``i`` is way-way-below ``j`` iff every subset ``S`` with ``j <= sup S``
+    contains some ``s >= i``.  Exponential in ``lat.n``.
+    """
+    n = lat.n
+    assert n <= 16, "2**n family scan"
+    full = lat.full_mask
+    not_wwb = [0] * n  # not_wwb[j]: mask of i refuted as way-way-below j
+    sup = [lat.bottom] * (1 << n)
+    covered = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        e = low.bit_length() - 1
+        rest = s ^ low
+        sup[s] = lat.join(sup[rest], e)
+        covered[s] = covered[rest] | lat.down[e]
+        gap = full & ~covered[s]
+        if gap:
+            for j in bits(lat.down[sup[s]]):
+                not_wwb[j] |= gap
+    # the empty family: sup is bottom, nothing is covered
+    not_wwb[lat.bottom] = full
+    return tuple(full & ~row for row in not_wwb)
+
+
+def closure_system_lattice(rng: random.Random, ground: int):
+    """A random family of subsets of ``ground`` points, closed under
+    intersection and holding the whole set, ordered by inclusion: a lattice
+    with at most ``2**ground`` elements, often non-distributive."""
+    full = (1 << ground) - 1
+    sets = {full}
+    for _ in range(rng.randint(1, 2 * ground)):
+        sets.add(rng.randrange(full + 1))
+    while True:
+        more = {a & b for a in sets for b in sets} - sets
+        if not more:
+            break
+        sets |= more
+
+    def between(a, b):
+        return any(a & c == a and c & b == c and c not in (a, b) for c in sets)
+
+    covers = [
+        (f"s{a}", f"s{b}")
+        for a in sets
+        for b in sets
+        if a != b and a & b == a and not between(a, b)
+    ]
+    return build_lattice("CLOSURE", [f"s{m}" for m in sorted(sets)], covers)
+
+
+def chain_under_m3(length: int):
+    """A ``length``-chain with the diamond M3 on top (non-distributive)."""
+    chain = [f"c{i}" for i in range(length)]
+    covers = list(zip(chain, chain[1:]))
+    covers += [(chain[-1], x) for x in "abc"] + [(x, "t") for x in "abc"]
+    return build_lattice(f"CHAIN{length}+M3", chain + ["a", "b", "c", "t"], covers)
+
+
+def oracle_corpus():
+    fixtures = [lattice_fixture(name) for name in lattice_fixture_names()]
+    rng = random.Random(20260418)
+    closures = [closure_system_lattice(rng, rng.choice((3, 4))) for _ in range(200)]
+    return (
+        fixtures
+        + [dualize(lat) for lat in fixtures]
+        + list(small_coframes(8))
+        + closures
+    )
 
 
 class TestConstruction:
@@ -153,23 +266,6 @@ class TestAnalysis:
             assert b3.meet(x, c) == b3.bottom and b3.join(x, c) == b3.top
             assert rep.complement[c] == x
 
-    def test_join_primes_against_direct_scan(self):
-        # oracle: the defining property, checked literally
-        for name in ("CHAIN3", "BOOL2", "PX3", "V5", "M3", "N5"):
-            lat = lattice_fixture(name)
-            expected = 0
-            for x in range(lat.n):
-                if x == lat.bottom:
-                    continue
-                if all(
-                    lat.leq(x, a) or lat.leq(x, b)
-                    for a in range(lat.n)
-                    for b in range(lat.n)
-                    if lat.leq(x, lat.join(a, b))
-                ):
-                    expected |= 1 << x
-            assert analyze(lat).join_primes == expected, name
-
     def test_birkhoff_primes_of_downset_lattice(self):
         # join-primes of a downset lattice are exactly the principal downsets
         poset = poset_from_covers(("a", "b", "c"), [("a", "c"), ("b", "c")])
@@ -207,14 +303,6 @@ class TestAnalysis:
                 if j != lat.bottom:
                     assert rows[j] >> lat.bottom & 1, name
 
-    def test_wwb_distributive_closed_form_matches_brute_force(self):
-        # the closed form used beyond the brute-force budget, validated
-        # against the exhaustive family scan where both are computable
-        for name in ("CHAIN2", "CHAIN3", "CHAIN5", "BOOL2", "PX3", "V5", "BOOL4"):
-            lat = lattice_fixture(name)
-            primes = analyze(lat).join_primes
-            assert wwb_distributive_closed_form(lat, primes) == wwb_brute_force(lat), name
-
     def test_wwb_join_irreducible_top(self):
         # a non-prime element can be way-way-below a join-irreducible top:
         # every cover of V5's top contains the top itself
@@ -247,6 +335,55 @@ class TestAnalysis:
         d = dualize(b2)
         assert d.meet(1, 2) == 3 and d.join(1, 2) == 0
         assert analyze(d).complemented == d.full_mask
+
+
+class TestAnalysisOracles:
+    """``analyze`` against the literal definitions on every fixture and its
+    dual, every carrier of ``small_coframes(8)`` and random closure-system
+    lattices, distributive or not."""
+
+    corpus = oracle_corpus()
+
+    def test_corpus_holds_non_distributive_lattices(self):
+        non_distributive = [lat for lat in self.corpus if not distributive_by_triples(lat)]
+        assert len(non_distributive) >= 10
+        assert any(lat.name == "CLOSURE" for lat in non_distributive)
+
+    def test_distributive(self):
+        for lat in self.corpus:
+            assert analyze(lat).distributive == distributive_by_triples(lat), lat
+
+    def test_join_primes(self):
+        for lat in self.corpus:
+            assert analyze(lat).join_primes == join_primes_by_scan(lat), lat
+
+    def test_meet_primes(self):
+        for lat in self.corpus:
+            assert analyze(lat).meet_primes == meet_primes_by_scan(lat), lat
+
+    def test_wwb_below(self):
+        for lat in self.corpus:
+            assert analyze(lat).wwb_below == wwb_brute_force(lat), lat
+
+
+class TestLargeNonDistributive:
+    def test_chain130_under_m3_is_not_distributive(self):
+        # 134 elements: beyond any full triple scan, still exact
+        lat = chain_under_m3(130)
+        assert lat.n == 134
+        rep = analyze(lat)
+        assert not rep.distributive
+        assert rep.join_primes.bit_count() == 129  # the chain above bottom
+        with pytest.raises(NotDistributive):
+            ConvergenceStructure(lat, (lat.top,) * lat.n)
+
+    def test_chain16_under_m3_matches_the_oracles(self):
+        # 20 elements: way-way-below is exact on non-distributive carriers
+        lat = chain_under_m3(16)
+        rep = analyze(lat)
+        assert not rep.distributive and not distributive_by_triples(lat)
+        assert rep.join_primes == join_primes_by_scan(lat)
+        assert rep.meet_primes == meet_primes_by_scan(lat)
 
 
 class TestPseudocomplement:

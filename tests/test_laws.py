@@ -56,6 +56,13 @@ class TestFaultInjection:
         assert not report.passed
         assert any("injected" in str(v.witness.get("origin", "")) for v in report.violations)
 
+    def test_injected_diamond_fails_the_distributive_law(self):
+        # analyze and the literal triple scan agree that M3 is not a coframe
+        report = run_suite("lattice", seed=0, budget=10, inject_fault=True)
+        hits = [v for v in report.violations if v.law == "distributive"]
+        assert [v.witness["origin"] for v in hits] == ["injected-M3"]
+        assert hits[0].message == "corpus lattice is not a coframe"
+
     def test_violations_carry_structured_witnesses(self):
         report = run_suite("grill", seed=0, budget=10, inject_fault=True)
         v = report.violations[0]

@@ -42,10 +42,13 @@ from coframes import (
 from coframes.fixtures import (
     adherence_fixture,
     convergence_fixture,
+    convergence_fixture_names,
+    enumerate_antitone_tables,
     lattice_fixture,
     random_convergence_structure,
     topology_fixture,
 )
+from coframes.search import small_coframes
 from coframes.lattice import (
     LatticeMorphism,
     bits,
@@ -205,6 +208,23 @@ class TestModification:
         assert got.limtab == lim_of_C(topology_fixture("PX3_TOP")).limtab
         assert not is_topological(cs)
         assert is_topological(got)
+
+    def test_is_topological_equals_fixed_by_the_modification(self):
+        # is_topological compares entries without building the modification;
+        # the definition builds it, on every small structure and fixture
+        corpus = [
+            ConvergenceStructure(lat, t)
+            for lat in small_coframes(6)
+            for t in enumerate_antitone_tables(lat)
+        ]
+        assert len(corpus) == 3893
+        corpus += [convergence_fixture(name) for name in convergence_fixture_names()]
+        hits = 0
+        for cs in corpus:
+            expected = cs.limtab == topological_modification(cs).limtab
+            assert is_topological(cs) == expected, cs
+            hits += expected
+        assert 0 < hits < len(corpus)
 
     def test_coarsens_idempotently_and_fixes_topological_inputs(self):
         rng = random.Random(83)
