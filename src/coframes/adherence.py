@@ -4,7 +4,7 @@ An adherence structure assigns to every lattice element an adherence,
 monotonically, additively on complemented elements, vanishing at bottom, and
 determined on arbitrary elements as the infimum over complemented elements
 above.  On distributive carriers additivity then extends to all pairs; the
-validator asserts that consequence rather than re-checking it as an axiom.
+validator does not re-check that consequence (the test suite does).
 
 The module converts between convergence and adherence views (adherence of a
 convergence structure, limits of an adherence structure), computes closed
@@ -73,22 +73,25 @@ def adherence_violation(
 ) -> tuple[str, str] | None:
     """First broken axiom as ``(axiom, witness)``, or None if all hold.
 
-    Checked: monotonicity; bottom maps to bottom; additivity on complemented
-    pairs; determination of every value as the infimum over complemented
-    elements above.  All-pairs additivity follows from these on a
-    distributive carrier and is asserted, not reported.
+    Checked: monotonicity (along cover pairs, which implies it everywhere);
+    bottom maps to bottom; additivity on complemented pairs; determination
+    of every value as the infimum over complemented elements above.
+    All-pairs additivity follows from these on a distributive carrier (the
+    test suite checks it on every structure of the small carriers).
     """
     lat = lattice
-    if len(nutab) != lat.n or any(not 0 <= v < lat.n for v in nutab):
+    if len(nutab) != len(lat.elements) or min(nutab) < 0 or max(nutab) >= len(nutab):
         return ("adherence.table", "table does not match carrier")
-    if not analyze(lat).distributive:
+    report = lat.report
+    if not report.distributive:
         raise NotDistributive(
             f"{lat.name}: adherence structures live on distributive lattices"
         )
-    comp = analyze(lat).complemented
-    for l in range(lat.n):
-        for m in bits(lat.up[l]):
-            if not lat.leq(nutab[l], nutab[m]):
+    comp = report.complemented
+    up = lat.up
+    for m, lows in enumerate(lat.covers):
+        for l in lows:
+            if not up[nutab[l]] >> nutab[m] & 1:
                 return (
                     "adherence.monotone",
                     f"{lat.label(l)!r} <= {lat.label(m)!r} but adherences "
@@ -118,13 +121,6 @@ def adherence_violation(
                 f"adherence of {lat.label(l)!r} is {lat.label(nutab[l])!r}, "
                 f"infimum over complemented elements above gives "
                 f"{lat.label(expected)!r}",
-            )
-    for x in range(lat.n):
-        for y in range(x, lat.n):
-            j = lat.join(x, y)
-            assert nutab[j] == lat.join(nutab[x], nutab[y]), (
-                "additivity on complemented pairs with infimum determination "
-                "must force additivity everywhere on a distributive carrier"
             )
     return None
 

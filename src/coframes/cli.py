@@ -12,6 +12,7 @@ error, so their output can be piped straight back into ``validate``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -366,7 +367,9 @@ def _emit(report: RunReport, subcommand: str, json_mode: bool) -> None:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing keeps no state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable report")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")

@@ -16,21 +16,15 @@ keeps them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    AxiomViolation,
-    BudgetExceeded,
-    IterationBound,
-    NotDistributive,
-)
-from .filters import Filter, _nonzero_meet_rows, _preimage_generator
+from .errors import AxiomViolation, IterationBound, NotDistributive
+from .filters import Filter, _preimage_generator
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
-    analyze,
     bits,
+    derived,
     require_morphism,
     require_same_carrier,
 )
@@ -67,19 +61,23 @@ class ConvergenceStructure:
     def __post_init__(self) -> None:
         lat = self.lattice
         tab = self.limtab
-        if len(tab) != lat.n or any(not 0 <= v < lat.n for v in tab):
+        if len(tab) != len(lat.elements) or min(tab) < 0 or max(tab) >= len(tab):
             raise AxiomViolation("convergence.table", "table does not match carrier")
-        if not analyze(lat).distributive:
+        if not lat.report.distributive:
             raise NotDistributive(
                 f"{lat.name}: convergence structures live on distributive lattices"
             )
-        for g in range(lat.n):
-            for h in bits(lat.up[g]):
-                if not lat.leq(tab[h], tab[g]):
+        # antitone iff antitone along every cover pair a -< x
+        up = lat.up
+        for x, lows in enumerate(lat.covers):
+            above = up[tab[x]]
+            for a in lows:
+                if not above >> tab[a] & 1:
                     raise AxiomViolation(
                         "convergence.antitone",
-                        f"finer filter at {lat.label(h)!r} converges to "
-                        f"{lat.label(tab[h])!r}, above {lat.label(tab[g])!r}",
+                        f"coarser filter at {lat.label(x)!r} converges to "
+                        f"{lat.label(tab[x])!r}, not below {lat.label(tab[a])!r} "
+                        f"at {lat.label(a)!r}",
                     )
 
     def __repr__(self) -> str:
@@ -91,32 +89,32 @@ class ConvergenceStructure:
 
     # Derived tables, each built on first use and kept with the structure.
 
-    @cached_property
+    @derived
     def adh0(self) -> tuple[int, ...]:
         """Raw adherence: join of limits over all filters meshing the element."""
         lat, tab = self.lattice, self.limtab
-        rows = _nonzero_meet_rows(lat)
+        rows = lat.nonzero_meet_rows
         return tuple(lat.join_of(tab[g] for g in bits(rows[l])) for l in range(lat.n))
 
-    @cached_property
+    @derived
     def adh(self) -> tuple[int, ...]:
         """Adherence corrected to be infimum-determined by complemented elements."""
         lat, raw = self.lattice, self.adh0
-        comp = analyze(lat).complemented
+        comp = lat.report.complemented
         return tuple(
             lat.meet_of(raw[a] for a in bits(lat.up[l] & comp)) for l in range(lat.n)
         )
 
-    @cached_property
+    @derived
     def quasi_closed(self) -> tuple[int, ...]:
         """Elements whose raw adherence stays below them."""
         lat, raw = self.lattice, self.adh0
         return tuple(l for l in range(lat.n) if lat.leq(raw[l], l))
 
-    @cached_property
+    @derived
     def closed(self) -> tuple[int, ...]:
         """The closed elements: the complemented quasi-closed ones."""
-        comp = analyze(self.lattice).complemented
+        comp = self.lattice.report.complemented
         return tuple(l for l in self.quasi_closed if comp >> l & 1)
 
 
@@ -173,17 +171,19 @@ def _strict(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
 
 
 def _limit(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
+    # The table is antitone, so the law holds at comparable pairs; on a
+    # distributive carrier it then holds everywhere iff it holds at the splits.
     lat, tab = cs.lattice, cs.limtab
-    return all(
-        tab[lat.join(g, h)] == lat.meet(tab[g], tab[h])
-        for g in range(lat.n)
-        for h in range(g, lat.n)
-    )
+    meet = lat.meet
+    for x, a, b in lat.splits:
+        if tab[x] != meet(tab[a], tab[b]):
+            return False
+    return True
 
 
 def _classical(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
     lat, tab = cs.lattice, cs.limtab
-    comp = analyze(lat).complemented
+    comp = lat.report.complemented
     return all(
         tab[g] == tab[lat.meet_of(bits(lat.up[g] & comp))] for g in range(lat.n)
     )
@@ -201,7 +201,7 @@ def _topological(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
 
 
 # The class tests in ascending cost: strict is O(1), limit and pretopological
-# O(n^2), classical O(n) meets of up-sets, centered needs the adherence table
+# O(n), classical O(n) meets of up-sets, centered needs the adherence table
 # and topological the topological modification.
 _CLASS_TESTS: dict[str, Callable[[ConvergenceStructure, Mapping[str, bool]], bool]] = {
     "strict": _strict,
@@ -304,8 +304,6 @@ def check_continuity(
 
 S1_KINDS = ("limit", "strict", "strict_limit", "pretop")
 
-_S1_SUBSET_BITS = 20
-
 
 def s1(cs: ConvergenceStructure, kind: str) -> ConvergenceStructure:
     """One completion step towards the given class.
@@ -316,15 +314,23 @@ def s1(cs: ConvergenceStructure, kind: str) -> ConvergenceStructure:
     - ``strict_limit`` / ``pretop``: join over arbitrary families whose
       intersection refines ``f`` (on finite carriers these two coincide; the
       empty family only covers the improper filter and contributes top).
+      Since the table is antitone and every join-irreducible is join-prime,
+      that join is top at bottom, the input's limit at each join-irreducible,
+      and elsewhere the infimum of the new limits at two lower covers
+      (``FiniteLattice.splits``, in rank order): O(n) meets.
 
     The result is pointwise above the input and antitone; iterating reaches
     the least fixed point (see :func:`s_infinity`).
     """
     lat, tab = cs.lattice, cs.limtab
     n = lat.n
-    if kind == "strict":
+    if kind in ("strict", "strict_limit", "pretop"):
         new = list(tab)
         new[lat.bottom] = lat.top
+        if kind != "strict":
+            meet = lat.meet
+            for x, a, b in lat.splits:
+                new[x] = meet(new[a], new[b])
         return ConvergenceStructure(lat, tuple(new))
     if kind == "limit":
         contrib = [lat.bottom] * n
@@ -332,28 +338,6 @@ def s1(cs: ConvergenceStructure, kind: str) -> ConvergenceStructure:
             for h in range(g, n):
                 j = lat.join(g, h)
                 contrib[j] = lat.join(contrib[j], lat.meet(tab[g], tab[h]))
-        new = [
-            lat.join_of(contrib[j] for j in bits(lat.up[f])) for f in range(n)
-        ]
-        return ConvergenceStructure(lat, tuple(new))
-    if kind in ("strict_limit", "pretop"):
-        if n > _S1_SUBSET_BITS:
-            raise BudgetExceeded(
-                f"family completion step on {n} elements (limit {_S1_SUBSET_BITS})"
-            )
-        size = 1 << n
-        contrib = [lat.bottom] * n
-        join_gen = [lat.bottom] * size
-        meet_lim = [lat.top] * size
-        contrib[lat.bottom] = lat.top  # the empty family
-        for s in range(1, size):
-            low = s & -s
-            g = low.bit_length() - 1
-            rest = s ^ low
-            join_gen[s] = lat.join(join_gen[rest], g)
-            meet_lim[s] = lat.meet(meet_lim[rest], tab[g])
-            j = join_gen[s]
-            contrib[j] = lat.join(contrib[j], meet_lim[s])
         new = [
             lat.join_of(contrib[j] for j in bits(lat.up[f])) for f in range(n)
         ]
@@ -413,5 +397,5 @@ def points(cs: ConvergenceStructure) -> tuple[int, ...]:
     """Join-prime elements converging to themselves (up to refinement):
     ``p`` is a point when the filter at ``p`` converges above ``p``."""
     lat = cs.lattice
-    primes = analyze(lat).join_primes
+    primes = lat.report.join_primes
     return tuple(p for p in bits(primes) if lat.leq(p, cs.limtab[p]))

@@ -12,16 +12,24 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Mapping
 
-from .adherence import AdherenceStructure
+from .adherence import AdherenceStructure, adherence_structure
 from .convergence import ConvergenceStructure
 from .duality import (
+    _SPACE_POINT_CAP,
     FiniteAdherenceSpace,
     FiniteConvergenceSpace,
     FiniteTopologicalSpace,
 )
-from .errors import DocumentError
+from .errors import BudgetExceeded, DocumentError
 from .filters import Filter, UpSet
-from .lattice import FiniteLattice, bits, build_lattice, dualize, powerset_lattice
+from .lattice import (
+    FiniteLattice,
+    bits,
+    build_lattice,
+    dualize,
+    powerset_lattice,
+    subset_label,
+)
 from .topology import TopologicalStructure, topological_structure
 
 __all__ = [
@@ -71,10 +79,6 @@ def _check_point_labels(points: Iterable[str]) -> tuple[str, ...]:
     if len(set(pts)) != len(pts):
         raise DocumentError("point labels must be unique")
     return pts
-
-
-def subset_label(points: tuple[str, ...], mask: int) -> str:
-    return "{" + ",".join(sorted(points[i] for i in bits(mask))) + "}"
 
 
 def _subset_parses(
@@ -261,7 +265,7 @@ def adherence_from_doc(doc: Any) -> AdherenceStructure:
     if set(doc) != {"lattice", "nu"}:
         raise DocumentError('adherence document needs exactly "lattice" and "nu"')
     lattice = lattice_from_doc(doc["lattice"])
-    return AdherenceStructure(lattice, _table_from_mapping(lattice, doc["nu"], "nu"))
+    return adherence_structure(lattice, _table_from_mapping(lattice, doc["nu"], "nu"))
 
 
 def topology_to_doc(ts: TopologicalStructure) -> dict[str, Any]:
@@ -337,6 +341,8 @@ def space_to_doc(space: FiniteConvergenceSpace) -> dict[str, Any]:
 
 def _space_table(doc: Mapping[str, Any], key: str) -> tuple[tuple[str, ...], list[int]]:
     pts = _check_point_labels(_string_list(doc["points"], '"points"'))
+    if len(pts) > _SPACE_POINT_CAP:
+        raise BudgetExceeded(f"space on {len(pts)} points (limit {_SPACE_POINT_CAP})")
     mapping = doc[key]
     if not isinstance(mapping, Mapping):
         raise DocumentError(f'"{key}" must map subset labels to subset labels')
@@ -346,9 +352,13 @@ def _space_table(doc: Mapping[str, Any], key: str) -> tuple[tuple[str, ...], lis
         if table[a] != -1:
             raise DocumentError(f"subset {k!r} listed twice")
         table[a] = subset_mask(pts, v)
-    missing = [subset_label(pts, a) for a, v in enumerate(table) if v == -1]
+    missing = [a for a, v in enumerate(table) if v == -1]
     if missing:
-        raise DocumentError(f'"{key}" is missing entries for {missing}')
+        shown = ", ".join(subset_label(pts, a) for a in missing[:5])
+        more = ", ..." if len(missing) > 5 else ""
+        raise DocumentError(
+            f'"{key}" is missing {len(missing)} entries: {shown}{more}'
+        )
     return pts, table
 
 

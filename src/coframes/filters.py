@@ -11,7 +11,6 @@ type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import AxiomViolation, BudgetExceeded, LatticeMismatch
 from .lattice import (
@@ -154,29 +153,18 @@ def refines(f: Filter, g: Filter) -> bool:
     return f.lattice.leq(f.generator, g.generator)
 
 
-@lru_cache(maxsize=None)
 def _nonzero_meet_rows(lattice: FiniteLattice) -> tuple[int, ...]:
-    """Row per element: mask of elements whose meet with it is not bottom."""
-    n = lattice.n
-    rows = [0] * n
-    for a in range(n):
-        for b in range(a, n):
-            if lattice.meet(a, b) != lattice.bottom:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return tuple(rows)
-
-
-def _member_mask(x: Filter | UpSet) -> int:
-    return x.members
+    """Row per element: mask of elements whose meet with it is not bottom
+    (kept with the carrier, see ``FiniteLattice.nonzero_meet_rows``)."""
+    return lattice.nonzero_meet_rows
 
 
 def mesh(a: Filter | UpSet, b: Filter | UpSet) -> bool:
     """Whether every member of ``a`` meets every member of ``b`` above bottom."""
     require_same_carrier(a.lattice, b.lattice, "mesh")
-    rows = _nonzero_meet_rows(a.lattice)
-    bm = _member_mask(b)
-    return all(rows[x] & bm == bm for x in bits(_member_mask(a)))
+    rows = a.lattice.nonzero_meet_rows
+    bm = b.members
+    return all(rows[x] & bm == bm for x in bits(a.members))
 
 
 def grill(a: Filter | UpSet) -> UpSet:
@@ -186,7 +174,7 @@ def grill(a: Filter | UpSet) -> UpSet:
     the empty up-set is everything.
     """
     lat = a.lattice
-    rows = _nonzero_meet_rows(lat)
+    rows = lat.nonzero_meet_rows
     out = lat.full_mask
     if isinstance(a, Filter):
         out = rows[a.generator]

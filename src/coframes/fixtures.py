@@ -21,6 +21,7 @@ from .errors import DocumentError
 from .lattice import (
     FiniteLattice,
     FinitePoset,
+    bits,
     build_lattice,
     downset_lattice,
     poset_from_covers,
@@ -349,12 +350,6 @@ def random_downset_lattice(
             return lat
 
 
-def _antitone_choices(lattice: FiniteLattice) -> Iterator[tuple[int, list[int]]]:
-    """For each element in a linear extension, the lower covers constraining it."""
-    for h in lattice.rank_order():
-        yield h, lattice.lower_covers(h)
-
-
 def random_antitone_table(rng: random.Random, lattice: FiniteLattice) -> tuple[int, ...]:
     """A uniform-per-step random antitone self-map table.
 
@@ -363,18 +358,11 @@ def random_antitone_table(rng: random.Random, lattice: FiniteLattice) -> tuple[i
     covers (antitone: bigger inputs get smaller outputs).
     """
     table = [0] * lattice.n
-    for h, covers in _antitone_choices(lattice):
-        bound = lattice.meet_of(table[g] for g in covers)
-        table[h] = rng.choice(list(_downset_members(lattice, bound)))
+    covers = lattice.covers
+    for h in lattice.rank_order():
+        bound = lattice.meet_of(table[g] for g in covers[h])
+        table[h] = rng.choice(list(bits(lattice.down[bound])))
     return tuple(table)
-
-
-def _downset_members(lattice: FiniteLattice, x: int) -> Iterator[int]:
-    mask = lattice.down[x]
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def random_convergence_structure(
@@ -384,9 +372,13 @@ def random_convergence_structure(
 
 
 def enumerate_antitone_tables(lattice: FiniteLattice) -> Iterator[tuple[int, ...]]:
-    """All antitone self-map tables, in a deterministic order."""
+    """All antitone self-map tables, in a deterministic order: along a
+    linear extension, each value ranges over the down-set of the meet of the
+    values at the lower covers, in increasing index order (the last position
+    varies fastest)."""
     order = lattice.rank_order()
-    covers = {h: lattice.lower_covers(h) for h in order}
+    covers = lattice.covers
+    members = [tuple(bits(below)) for below in lattice.down]
     table = [0] * lattice.n
 
     def rec(pos: int) -> Iterator[tuple[int, ...]]:
@@ -395,7 +387,7 @@ def enumerate_antitone_tables(lattice: FiniteLattice) -> Iterator[tuple[int, ...
             return
         h = order[pos]
         bound = lattice.meet_of(table[g] for g in covers[h])
-        for v in _downset_members(lattice, bound):
+        for v in members[bound]:
             table[h] = v
             yield from rec(pos + 1)
 

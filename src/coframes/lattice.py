@@ -13,10 +13,9 @@ shared carrier check identity, not shape.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -56,6 +55,33 @@ _MASK = 1  # element index is a subset mask: meet = &, join = |
 _MASK_DUAL = 2  # dual of a mask lattice: meet = |, join = &
 
 
+class derived:
+    """An attribute of an immutable object computed on first read and kept
+    on the instance, like ``functools.cached_property`` (and, like it on
+    Python 3.12+, without a lock).
+
+    The value is stored through ``object.__setattr__``, which works on
+    frozen dataclasses and, unlike ``cached_property``, does not make
+    CPython materialize the instance ``__dict__``, which would slow every
+    later attribute read of the object (its ``meet``, ``join`` and ``up``
+    reads included) on Python 3.11.
+    """
+
+    def __init__(self, compute: Callable[[Any], Any]) -> None:
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = self.compute(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 def bits(mask: int) -> Iterator[int]:
     """Iterate the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -71,6 +97,10 @@ class FiniteLattice:
     ``up[i]`` / ``down[i]`` are bitmasks over element indices giving the
     principal up-set / down-set of ``i`` (reflexive).  ``bottom`` and ``top``
     are element indices.
+
+    Derived data (the :func:`analyze` report, the nonzero-meet rows, the
+    dual, the lower covers and the splits) is built on first use and kept
+    with the carrier, so it is freed together with it.
     """
 
     name: str
@@ -141,11 +171,81 @@ class FiniteLattice:
 
     def lower_covers(self, j: int) -> list[int]:
         """Maximal elements strictly below ``j``."""
-        strictly_below = self.down[j] ^ (1 << j)
-        return [
-            i for i in bits(strictly_below)
-            if self.up[i] & strictly_below == 1 << i
-        ]
+        return list(self.covers[j])
+
+    # -- derived data, built once per carrier -----------------------------
+
+    @derived
+    def report(self) -> LatticeReport:
+        """The :func:`analyze` report."""
+        return _analysis(self)
+
+    @derived
+    def nonzero_meet_rows(self) -> tuple[int, ...]:
+        """Row per element: mask of elements whose meet with it is not
+        bottom, i.e. the union of the up-sets of the atoms below it."""
+        up, down = self.up, self.down
+        bottom_bit = 1 << self.bottom
+        atoms = 0
+        for c, below in enumerate(down):
+            if below ^ bottom_bit == 1 << c:
+                atoms |= 1 << c
+        rows = []
+        for below in down:
+            row = 0
+            for c in bits(below & atoms):
+                row |= up[c]
+            rows.append(row)
+        return tuple(rows)
+
+    @derived
+    def dual(self) -> FiniteLattice:
+        """The order-dual, whose own ``dual`` is this lattice."""
+        mode = {_MASK: _MASK_DUAL, _MASK_DUAL: _MASK}.get(self.op_mode, _TABLES)
+        base = self.name
+        dual = FiniteLattice(
+            name=base[:-3] if base.endswith("^op") else base + "^op",
+            elements=self.elements,
+            up=self.down,
+            down=self.up,
+            bottom=self.top,
+            top=self.bottom,
+            meet_table=self.join_table,
+            join_table=self.meet_table,
+            op_mode=mode,
+        )
+        object.__setattr__(dual, "dual", self)
+        return dual
+
+    @derived
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        """``covers[j]``: the lower covers of ``j``, in increasing index order."""
+        up = self.up
+        out = []
+        for j, below in enumerate(self.down):
+            strictly_below = below ^ (1 << j)
+            out.append(
+                tuple(i for i in bits(strictly_below) if up[i] & strictly_below == 1 << i)
+            )
+        return tuple(out)
+
+    @derived
+    def splits(self) -> tuple[tuple[int, int, int], ...]:
+        """``(x, a, b)`` for each ``x`` with two or more lower covers, where
+        ``a`` and ``b`` are its first two (so ``x = a v b``), in rank order.
+
+        The other nonbottom elements are the join-irreducibles.  On a
+        distributive carrier every join-irreducible is join-prime, so the
+        join-irreducibles below ``x`` are those below ``a`` or below ``b``;
+        by induction along the rank order, an antitone ``t`` satisfies
+        ``t(g v h) = t(g) ^ t(h)`` for all pairs iff it does at the splits.
+        """
+        covers = self.covers
+        return tuple(
+            (x, lows[0], lows[1])
+            for x in self.rank_order()
+            if len(lows := covers[x]) > 1
+        )
 
     def __repr__(self) -> str:
         return f"FiniteLattice({self.name!r}, n={self.n})"
@@ -372,44 +472,15 @@ def downset_lattice(poset: FinitePoset, name: str | None = None) -> FiniteLattic
     )
 
 
-_DUALS: "weakref.WeakKeyDictionary[FiniteLattice, FiniteLattice]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def dualize(lattice: FiniteLattice) -> FiniteLattice:
     """The order-dual of a lattice (meets and joins swapped).
 
-    The dual is cached both ways, so ``dualize(dualize(L)) is L``.  This is
-    the single orientation primitive: frame-oriented inputs are turned into
-    the coframe the engine works with by dualizing once at the boundary.
+    The dual is kept with the lattice, linked both ways, so
+    ``dualize(dualize(L)) is L``.  This is the single orientation primitive:
+    frame-oriented inputs are turned into the coframe the engine works with
+    by dualizing once at the boundary.
     """
-    cached = _DUALS.get(lattice)
-    if cached is not None:
-        return cached
-    mode = lattice.op_mode
-    if mode == _MASK:
-        dual_mode = _MASK_DUAL
-    elif mode == _MASK_DUAL:
-        dual_mode = _MASK
-    else:
-        dual_mode = _TABLES
-    base = lattice.name
-    name = base[:-3] if base.endswith("^op") else base + "^op"
-    dual = FiniteLattice(
-        name=name,
-        elements=lattice.elements,
-        up=lattice.down,
-        down=lattice.up,
-        bottom=lattice.top,
-        top=lattice.bottom,
-        meet_table=lattice.join_table,
-        join_table=lattice.meet_table,
-        op_mode=dual_mode,
-    )
-    _DUALS[lattice] = dual
-    _DUALS[dual] = lattice
-    return dual
+    return lattice.dual
 
 
 def cover_pairs(lattice: FiniteLattice) -> list[tuple[str, str]]:
@@ -527,7 +598,6 @@ def _fold(
     return acc
 
 
-@lru_cache(maxsize=None)
 def analyze(lattice: FiniteLattice) -> LatticeReport:
     """Derived structure: distributivity, complemented part, primes,
     spatiality, prime-continuity, way-way-below rows (see
@@ -536,9 +606,14 @@ def analyze(lattice: FiniteLattice) -> LatticeReport:
     One join ``m(x)`` and one meet per element give the primes and the
     way-way-below rows; one join of the strict down-set per element gives
     the join-irreducibles.  Every answer is exact, no path is exponential
-    or sampled, and the whole analysis is O(n^2) lattice operations.
-    Cached per carrier (lattices are immutable and identity-compared).
+    or sampled, and the whole analysis is O(n^2) lattice operations.  The
+    report is built once per carrier and kept with it
+    (``FiniteLattice.report``).
     """
+    return lattice.report
+
+
+def _analysis(lattice: FiniteLattice) -> LatticeReport:
     n, full = lattice.n, lattice.full_mask
     up, down, bottom, top = lattice.up, lattice.down, lattice.bottom, lattice.top
     high = lattice.op_mode != _MASK_DUAL

@@ -33,6 +33,7 @@ from coframes.fixtures import (
     discrete_structure,
     enumerate_antitone_tables,
     lattice_fixture,
+    lattice_fixture_names,
     random_convergence_structure,
 )
 from coframes.lattice import (
@@ -42,6 +43,7 @@ from coframes.lattice import (
     left_adjoint,
     morphism_violation,
 )
+from coframes.search import small_coframes
 
 
 def labels(lat, items):
@@ -66,6 +68,21 @@ class TestValidation:
         violation = adherence_violation(lat, tuple(tab))
         assert violation is not None and violation[0] == "adherence.monotone"
         assert "'m'" in violation[1]
+
+    def test_cover_pair_monotone_scan_equals_all_pairs_scan(self):
+        # every self-map of every distributive carrier with at most 5 elements
+        fixtures = [lattice_fixture(name) for name in lattice_fixture_names()]
+        carriers = list(small_coframes(5)) + [
+            lat for lat in fixtures if lat.n <= 5 and analyze(lat).distributive
+        ]
+        for lat in carriers:
+            for tab in itertools.product(range(lat.n), repeat=lat.n):
+                monotone = all(
+                    lat.leq(tab[l], tab[m]) for l in range(lat.n) for m in bits(lat.up[l])
+                )
+                violation = adherence_violation(lat, tab)
+                flagged = violation is not None and violation[0] == "adherence.monotone"
+                assert flagged == (not monotone), (lat, tab)
 
     def test_bottom_must_map_to_bottom(self):
         lat = lattice_fixture("CHAIN2")
@@ -105,6 +122,19 @@ class TestAtomParametrization:
             lat = lattice_fixture(name)
             enumerated = {ns.nutab for ns in enumerate_adherence_structures(lat)}
             assert enumerated == valid_tables_oracle(lat), name
+
+    def test_every_structure_is_additive_on_all_pairs(self):
+        # the validator checks additivity on complemented pairs only; on a
+        # distributive carrier the other axioms force it on every pair
+        carriers = list(small_coframes(6)) + [
+            lattice_fixture(name) for name in ("BOOL3", "PX3", "V5")
+        ]
+        for lat in carriers:
+            for ns in enumerate_adherence_structures(lat):
+                nu = ns.nutab
+                for x in range(lat.n):
+                    for y in range(x, lat.n):
+                        assert nu[lat.join(x, y)] == lat.join(nu[x], nu[y]), (ns, x, y)
 
     def test_count_is_carrier_size_to_the_atoms(self):
         for name in ("CHAIN3", "BOOL2", "PX3", "V5"):

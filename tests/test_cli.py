@@ -3,6 +3,8 @@ shapes, document piping, idempotence of modifications, and JSON mode."""
 
 import io
 import json
+import random
+import time
 
 import pytest
 
@@ -13,8 +15,9 @@ from coframes.documents import (
     load_document,
     structure_to_doc,
 )
-from coframes.convergence import classify
-from coframes.lattice import build_lattice
+from coframes.convergence import classify, s1
+from coframes.fixtures import random_antitone_table
+from coframes.lattice import build_lattice, powerset_lattice, subset_label
 
 
 def run(capsys, argv):
@@ -124,6 +127,41 @@ class TestValidateCommand:
         code, _, _ = run(capsys, ["validate", str(tmp_path / "absent.json")])
         assert code == 2
 
+    def test_invalid_adherence_document_is_rejected(self, capsys, monkeypatch):
+        # bottom adheres to top, and the adherence drops from {0} to {0,1}
+        doc = {
+            "lattice": "BOOL2",
+            "nu": {"{}": "{0,1}", "{0}": "{0,1}", "{1}": "{1}", "{0,1}": "{0}"},
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run(capsys, ["validate", "-", "--json"])
+        assert code == 2
+        assert "adherence.monotone" in json.loads(out)["message"]
+
+    @pytest.mark.parametrize("k", [16, 30])
+    def test_oversized_space_document_fails_fast(self, capsys, monkeypatch, k):
+        # one entry is listed; the table of 2**k entries must never be built
+        points = [f"p{i}" for i in range(k)]
+        doc = {"points": points, "lim": {"{}": "{" + ",".join(points) + "}"}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["validate", "-", "--json"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert f"{k} points" in message
+        assert len(message.encode()) < 1024
+
+    def test_missing_space_entries_are_counted_not_listed(self, capsys, monkeypatch):
+        points = [f"p{i}" for i in range(12)]
+        doc = {"points": points, "lim": {"{}": "{" + ",".join(points) + "}"}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run(capsys, ["validate", "-", "--json"])
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert "missing 4095 entries" in message
+        assert len(message.encode()) < 1024
+
 
 class TestClassifyCommand:
     def test_sierpinski_flag_line(self, capsys, tmp_path):
@@ -189,6 +227,21 @@ class TestModifyCommand:
         code, out, _ = run(capsys, ["modify", str(path), "--kind", "top"])
         assert code == 2
         assert "convergence" in out
+
+    def test_family_completion_on_a_32_element_powerset(self, capsys, monkeypatch):
+        # P(5): the family step used to refuse carriers above 20 elements
+        ground = list("abcde")
+        lat = powerset_lattice(tuple(ground))
+        tab = random_antitone_table(random.Random(5), lat)
+        label = lambda m: subset_label(ground, m)  # noqa: E731
+        doc = {"lattice": {"powerset": ground}, "lim": {label(s): label(tab[s]) for s in range(lat.n)}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run(capsys, ["modify", "-", "--json", "--kind", "pretop"])
+        assert code == 0
+        result = convergence_from_doc(json.loads(out)["document"])
+        assert result.lattice.n == 32
+        assert classify(result).pretopological
+        assert s1(result, "pretop").limtab == result.limtab
 
     def test_kind_is_required(self, capsys, tmp_path):
         path = write_fixture(capsys, tmp_path, "SIERP_LIM", "s.json")
@@ -354,3 +407,38 @@ class TestJsonMode:
             from coframes.documents import structure_to_doc
 
             assert canonical_json(structure_to_doc(obj)) == out
+
+
+class TestRepeatedCalls:
+    def test_consecutive_calls_share_no_state(self, capsys, tmp_path):
+        # the parser is built once; each call must still see only its own flags
+        path = write_fixture(capsys, tmp_path, "SIERP_LIM", "s.json")
+        code, out, _ = run(capsys, ["classify", str(path), "--json"])
+        assert code == 0 and json.loads(out)["flags"]["topological"] is True
+        code, out, _ = run(capsys, ["classify", str(path)])
+        assert code == 0 and out.startswith("outcome: pass")
+        code, out, err = run(capsys, ["modify", str(path), "--kind", "strict"])
+        assert code == 0 and "modification: strict" in err
+        code, out, _ = run(capsys, ["laws", "--suite", "grill", "--budget", "5", "--json"])
+        report = json.loads(out)
+        assert code == 0 and list(report["suites"]) == ["grill"]
+        code, out, _ = run(capsys, ["fixtures", "--kind", "space"])
+        assert code == 0 and "lattice:" not in out
+        code, out, _ = run(capsys, ["fixtures"])
+        assert code == 0 and "lattice:" in out
+        code, out, _ = run(
+            capsys, ["search", "--conjecture", "strict => centered", "--seed", "9", "--json"]
+        )
+        assert code == 1 and json.loads(out)["command"][-3:] == ["--seed", "9", "--json"]
+        code, out, _ = run(capsys, ["search", "--conjecture", "strict => centered", "--json"])
+        assert code == 1 and json.loads(out)["command"][-1] == "--json"
+
+    def test_bad_argument_still_exits_two_between_calls(self, capsys, tmp_path):
+        path = write_fixture(capsys, tmp_path, "SIERP_LIM", "s.json")
+        for argv in (["modify", str(path)], ["laws", "--suite", "nonsense"], ["bogus"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            capsys.readouterr()
+            code, _, _ = run(capsys, ["validate", str(path)])
+            assert code == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -31,6 +33,7 @@ from coframes.fixtures import (
     discrete_structure,
     enumerate_antitone_tables,
     lattice_fixture,
+    lattice_fixture_names,
     random_convergence_structure,
     random_downset_lattice,
 )
@@ -64,7 +67,101 @@ def family_scan_pretopological(cs):
     return all(tab[join_gen[s]] == meet_lim[s] for s in range(size))
 
 
+def family_step_by_subsets(cs):
+    """The definition of the family step: at each ``f``, the join over every
+    family of generators whose join dominates ``f`` (the empty family
+    included) of the infimum of their limits.  Scans all ``2^n`` families."""
+    lat, tab = cs.lattice, cs.limtab
+    size = 1 << lat.n
+    contrib = [lat.bottom] * lat.n
+    join_gen = [lat.bottom] * size
+    meet_lim = [lat.top] * size
+    contrib[lat.bottom] = lat.top  # the empty family
+    for s in range(1, size):
+        low = s & -s
+        g = low.bit_length() - 1
+        rest = s ^ low
+        join_gen[s] = lat.join(join_gen[rest], g)
+        meet_lim[s] = lat.meet(meet_lim[rest], tab[g])
+        j = join_gen[s]
+        contrib[j] = lat.join(contrib[j], meet_lim[s])
+    return tuple(lat.join_of(contrib[j] for j in bits(lat.up[f])) for f in range(lat.n))
+
+
+def limit_by_pairs(cs):
+    """The definition of a limit structure: every binary intersection of
+    filters converges to the infimum of their limits."""
+    lat, tab = cs.lattice, cs.limtab
+    return all(
+        tab[lat.join(g, h)] == lat.meet(tab[g], tab[h])
+        for g in range(lat.n)
+        for h in range(g, lat.n)
+    )
+
+
+def antitone_by_pairs(lat, tab):
+    """Every comparable pair, not only the cover pairs."""
+    return all(lat.leq(tab[h], tab[g]) for g in range(lat.n) for h in bits(lat.up[g]))
+
+
+def enumerate_tables_recursively(lat):
+    """The table enumeration as first written: recursion along the rank
+    order, each value over the down-set of the meet at the lower covers."""
+    order = lat.rank_order()
+    table = [0] * lat.n
+
+    def rec(pos):
+        if pos == len(order):
+            yield tuple(table)
+            return
+        h = order[pos]
+        bound = lat.meet_of(table[g] for g in lat.lower_covers(h))
+        for v in bits(lat.down[bound]):
+            table[h] = v
+            yield from rec(pos + 1)
+
+    yield from rec(0)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_corpus():
+    """Every structure on the carriers of ``small_coframes(6)``, every
+    fixture, and seeded structures (arbitrary and limit) on larger carriers."""
+    corpus = [
+        ConvergenceStructure(lat, t)
+        for lat in small_coframes(6)
+        for t in enumerate_antitone_tables(lat)
+    ]
+    corpus += [convergence_fixture(name) for name in convergence_fixture_names()]
+    rng = random.Random(404)
+    for _ in range(60):
+        lat = random_downset_lattice(rng, max_elements=14, max_poset=5)
+        cs = random_convergence_structure(rng, lat)
+        corpus += [cs, s_infinity(cs, "limit")]
+    return tuple(corpus)
+
+
+def small_carriers(max_elements):
+    """The distributive carriers with at most ``max_elements`` elements."""
+    fixtures = [lattice_fixture(name) for name in lattice_fixture_names()]
+    return list(small_coframes(max_elements)) + [
+        lat for lat in fixtures if lat.n <= max_elements and analyze(lat).distributive
+    ]
+
+
 class TestValidation:
+    def test_cover_pair_check_equals_all_pairs_scan(self):
+        # every self-map of every distributive carrier with at most 5 elements
+        for lat in small_carriers(5):
+            for tab in itertools.product(range(lat.n), repeat=lat.n):
+                try:
+                    ConvergenceStructure(lat, tab)
+                    accepted = True
+                except AxiomViolation as err:
+                    assert err.axiom == "convergence.antitone"
+                    accepted = False
+                assert accepted == antitone_by_pairs(lat, tab), (lat, tab)
+
     def test_non_antitone_rejected(self):
         lat = lattice_fixture("CHAIN3")
         with pytest.raises(AxiomViolation) as err:
@@ -131,13 +228,7 @@ class TestClassify:
     def test_pretopological_equals_strict_limit_exhaustive(self):
         # the flag is computed as strict-and-limit; the family scan is the
         # definition and must agree on every small structure and fixture
-        corpus = [
-            ConvergenceStructure(lat, t)
-            for lat in small_coframes(6)
-            for t in enumerate_antitone_tables(lat)
-        ]
-        corpus += [convergence_fixture(name) for name in convergence_fixture_names()]
-        for cs in corpus:
+        for cs in oracle_corpus():
             assert classify(cs).pretopological == family_scan_pretopological(cs), cs
 
     def test_pretopological_exact_on_large_carriers(self):
@@ -154,6 +245,14 @@ class TestClassify:
             got = classify(ConvergenceStructure(lat, tab))
             assert got.strict and not got.limit
             assert got.pretopological is False
+
+    def test_limit_matches_pair_definition(self):
+        # the flag is read at the splits only; the definition takes all pairs
+        corpus = oracle_corpus()
+        assert sum(limit_by_pairs(cs) for cs in corpus) > 1000
+        assert sum(not limit_by_pairs(cs) for cs in corpus) > 1000
+        for cs in corpus:
+            assert classify(cs).limit == limit_by_pairs(cs), cs
 
     def test_classical_matches_definition_scan(self):
         # independent oracle: compare limits across all filter pairs sharing
@@ -220,6 +319,28 @@ class TestCompletionStep:
                     if lat.leq(f, lat.join_of(members)):
                         best.append(lat.meet_of(cs.limtab[g] for g in members))
                 assert out.limtab[f] == lat.join_of(best)
+
+    def test_family_step_matches_family_scan(self):
+        for cs in oracle_corpus():
+            assert s1(cs, "pretop").limtab == family_step_by_subsets(cs), cs
+
+    def test_family_step_on_large_carriers(self):
+        # P(6): 64 elements, far beyond any family scan; the step must land
+        # on a pretopological structure above the input, fixed by one more step
+        lat = powerset_lattice(tuple("abcdef"))
+        rng = random.Random(29)
+        for _ in range(5):
+            cs = random_convergence_structure(rng, lat)
+            out = s1(cs, "pretop")
+            assert classify(out).pretopological
+            assert all(lat.leq(cs.limtab[g], out.limtab[g]) for g in range(lat.n))
+            assert s1(out, "pretop").limtab == out.limtab
+
+    def test_enumeration_order_is_unchanged(self):
+        for lat in list(small_coframes(7)) + [lattice_fixture("V5"), lattice_fixture("PX3")]:
+            assert list(enumerate_antitone_tables(lat)) == list(
+                enumerate_tables_recursively(lat)
+            ), lat
 
     def test_family_step_equals_strict_limit_step(self):
         rng = random.Random(11)

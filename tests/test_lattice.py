@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from coframes import (
     analyze,
     build_lattice,
     check_morphism,
+    classify,
     cover_pairs,
     downset_lattice,
     dualize,
@@ -26,8 +29,10 @@ from coframes import (
     poset_from_covers,
     powerset_lattice,
     pseudocomplement,
+    s1,
     sublattice,
 )
+from coframes.filters import _nonzero_meet_rows
 from coframes.lattice import LatticeMorphism, bits
 from coframes.fixtures import lattice_fixture, lattice_fixture_names, random_poset
 from coframes.search import small_coframes
@@ -364,6 +369,56 @@ class TestAnalysisOracles:
     def test_wwb_below(self):
         for lat in self.corpus:
             assert analyze(lat).wwb_below == wwb_brute_force(lat), lat
+
+    def test_nonzero_meet_rows(self):
+        # built from the atoms' up-sets; the definition takes every meet
+        for lat in self.corpus:
+            expected = tuple(
+                sum(1 << b for b in range(lat.n) if lat.meet(a, b) != lat.bottom)
+                for a in range(lat.n)
+            )
+            assert lat.nonzero_meet_rows == expected, lat
+
+    def test_covers_and_splits(self):
+        for lat in self.corpus:
+            for j in range(lat.n):
+                below = lat.down[j] ^ 1 << j
+                maximal = tuple(
+                    i for i in range(lat.n)
+                    if below >> i & 1 and not any(
+                        below >> k & 1 and k != i and lat.leq(i, k) for k in range(lat.n)
+                    )
+                )
+                assert lat.covers[j] == maximal, (lat, j)
+            rank = {x: r for r, x in enumerate(lat.rank_order())}
+            split_at = [x for x, _, _ in lat.splits]
+            assert split_at == sorted(split_at, key=rank.__getitem__)
+            assert set(split_at) == {x for x in range(lat.n) if len(lat.covers[x]) > 1}
+            for x, a, b in lat.splits:
+                assert (a, b) == lat.covers[x][:2] and lat.join(a, b) == x
+
+
+class TestDerivedDataLifetime:
+    def test_derived_data_is_built_once_and_kept(self):
+        lat = downset_lattice(poset_from_covers(("a", "b", "c"), [("a", "c")]))
+        assert analyze(lat) is analyze(lat) is lat.report
+        assert lat.covers is lat.covers and lat.splits is lat.splits
+        assert dualize(lat).dual is lat
+
+    def test_carrier_is_freed_with_its_derived_data(self):
+        # nothing module-global may keep a carrier (or its dual) alive
+        lat = downset_lattice(poset_from_covers(("a", "b", "c"), [("a", "c")]))
+        analyze(lat)
+        _nonzero_meet_rows(lat)
+        op = dualize(lat)
+        analyze(op)
+        cs = ConvergenceStructure(lat, (lat.top,) + (lat.bottom,) * (lat.n - 1))
+        classify(cs)
+        s1(cs, "pretop")
+        refs = [weakref.ref(lat), weakref.ref(op), weakref.ref(cs)]
+        del lat, op, cs
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
 
 
 class TestLargeNonDistributive:
