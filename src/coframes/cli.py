@@ -449,7 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         args.handler(args, report)
-    except (EngineError, OSError, AssertionError) as err:
+    except (EngineError, OSError) as err:
         report.outcome = "error"
         report.message = str(err) or type(err).__name__
     report.elapsed_ms = (time.perf_counter() - start) * 1000

@@ -9,8 +9,8 @@ The module provides classification (classical / limit / strict /
 pretopological / centered / topological), continuity and finality of coframe
 morphisms, the one-step and iterated modifications that complete a structure
 into a limit (or pretopological) one, final lifts along sinks, and points.
-A structure builds its adherence tables and closed elements on first use and
-keeps them.
+A structure builds its adherence tables, closed elements and points on first
+use and keeps them.
 """
 
 from __future__ import annotations
@@ -116,6 +116,12 @@ class ConvergenceStructure:
         """The closed elements: the complemented quasi-closed ones."""
         comp = self.lattice.report.complemented
         return tuple(l for l in self.quasi_closed if comp >> l & 1)
+
+    @derived
+    def points(self) -> tuple[int, ...]:
+        """The points: join-primes ``p`` whose filter converges above ``p``."""
+        lat, tab = self.lattice, self.limtab
+        return tuple(p for p in bits(lat.report.join_primes) if lat.leq(p, tab[p]))
 
 
 def convergence_structure(
@@ -395,7 +401,6 @@ def final_lift(
 
 def points(cs: ConvergenceStructure) -> tuple[int, ...]:
     """Join-prime elements converging to themselves (up to refinement):
-    ``p`` is a point when the filter at ``p`` converges above ``p``."""
-    lat = cs.lattice
-    primes = lat.report.join_primes
-    return tuple(p for p in bits(primes) if lat.leq(p, cs.limtab[p]))
+    ``p`` is a point when the filter at ``p`` converges above ``p``.
+    Built once per structure (see ``ConvergenceStructure.points``)."""
+    return cs.points

@@ -10,25 +10,27 @@ indentation, trailing newline.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .adherence import AdherenceStructure, adherence_structure
 from .convergence import ConvergenceStructure
 from .duality import (
-    _SPACE_POINT_CAP,
+    _check_point_count,
     FiniteAdherenceSpace,
     FiniteConvergenceSpace,
     FiniteTopologicalSpace,
 )
-from .errors import BudgetExceeded, DocumentError
+from .errors import DocumentError
 from .filters import Filter, UpSet
 from .lattice import (
     FiniteLattice,
     bits,
     build_lattice,
     dualize,
+    _subset_parses,  # re-exported
     powerset_lattice,
     subset_label,
+    subset_mask,
 )
 from .topology import TopologicalStructure, topological_structure
 
@@ -66,7 +68,7 @@ def canonical_json(doc: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subset labels (used by the space documents)
+# point labels (used by the space documents)
 
 
 def _check_point_labels(points: Iterable[str]) -> tuple[str, ...]:
@@ -79,50 +81,6 @@ def _check_point_labels(points: Iterable[str]) -> tuple[str, ...]:
     if len(set(pts)) != len(pts):
         raise DocumentError("point labels must be unique")
     return pts
-
-
-def _subset_parses(
-    points: tuple[str, ...], fragments: list[str], lenient: bool
-) -> set[int]:
-    """All ways of reassembling comma-split fragments into known point
-    labels (labels may themselves contain commas, so fragments are grouped
-    by backtracking)."""
-    index = {p: i for i, p in enumerate(points)}
-    results: set[int] = set()
-
-    def rec(pos: int, mask: int) -> None:
-        if pos == len(fragments):
-            results.add(mask)
-            return
-        for end in range(pos, len(fragments)):
-            name = ",".join(fragments[pos : end + 1])
-            if lenient and end == pos:
-                name = name.strip()
-            i = index.get(name)
-            if i is not None and not mask >> i & 1:
-                rec(end + 1, mask | 1 << i)
-
-    rec(0, 0)
-    return results
-
-
-def subset_mask(points: tuple[str, ...], label: str) -> int:
-    if not isinstance(label, str):
-        raise DocumentError(f"subset label must be a string, got {label!r}")
-    body = label.strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise DocumentError(f"subset label {label!r} is not brace-delimited")
-    inner = body[1:-1]
-    if not inner.strip():
-        return 0
-    parses = _subset_parses(points, inner.split(","), lenient=False)
-    if not parses:
-        parses = _subset_parses(points, inner.split(","), lenient=True)
-    if not parses:
-        raise DocumentError(f"{label!r} does not name a subset of {list(points)}")
-    if len(parses) > 1:
-        raise DocumentError(f"subset label {label!r} is ambiguous")
-    return parses.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +184,20 @@ def _table_from_mapping(
         i = _label_of(lattice, k, f'"{key}" key')
         seen.add(i)
         table[i] = _label_of(lattice, v, f'"{key}"[{k!r}]')
-    missing = [lattice.label(i) for i in range(lattice.n) if i not in seen]
+    missing = [i for i in range(lattice.n) if i not in seen]
     if missing:
-        raise DocumentError(f'"{key}" is missing entries for {missing}')
+        raise _missing_entries(key, missing, lattice.label)
     return tuple(table)
+
+
+def _missing_entries(
+    key: str, missing: list[int], label: Callable[[int], str]
+) -> DocumentError:
+    """The error for a table with missing entries: their count and the
+    labels of the first five, so the message stays short on any carrier."""
+    shown = ", ".join(label(i) for i in missing[:5])
+    more = ", ..." if len(missing) > 5 else ""
+    return DocumentError(f'"{key}" is missing {len(missing)} entries: {shown}{more}')
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +309,7 @@ def space_to_doc(space: FiniteConvergenceSpace) -> dict[str, Any]:
 
 def _space_table(doc: Mapping[str, Any], key: str) -> tuple[tuple[str, ...], list[int]]:
     pts = _check_point_labels(_string_list(doc["points"], '"points"'))
-    if len(pts) > _SPACE_POINT_CAP:
-        raise BudgetExceeded(f"space on {len(pts)} points (limit {_SPACE_POINT_CAP})")
+    _check_point_count(pts)
     mapping = doc[key]
     if not isinstance(mapping, Mapping):
         raise DocumentError(f'"{key}" must map subset labels to subset labels')
@@ -354,11 +321,7 @@ def _space_table(doc: Mapping[str, Any], key: str) -> tuple[tuple[str, ...], lis
         table[a] = subset_mask(pts, v)
     missing = [a for a, v in enumerate(table) if v == -1]
     if missing:
-        shown = ", ".join(subset_label(pts, a) for a in missing[:5])
-        more = ", ..." if len(missing) > 5 else ""
-        raise DocumentError(
-            f'"{key}" is missing {len(missing)} entries: {shown}{more}'
-        )
+        raise _missing_entries(key, missing, lambda a: subset_label(pts, a))
     return pts, table
 
 

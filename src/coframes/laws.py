@@ -10,6 +10,7 @@ constructor validation) to prove the suite is capable of failing.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
@@ -17,6 +18,7 @@ from typing import Any, Callable, Iterable
 from .adherence import (
     AdherenceStructure,
     adh_structure_of,
+    adherence_violation,
     closed_sets,
     lim_of_nu,
     random_adherence_structure,
@@ -66,9 +68,18 @@ from .fixtures import (
     topology_fixture,
     topology_fixture_names,
 )
-from .lattice import FiniteLattice, analyze, bits, dualize, pseudocomplement
+from .lattice import (
+    FiniteLattice,
+    LatticeMorphism,
+    analyze,
+    bits,
+    dualize,
+    morphism_violation,
+    pseudocomplement,
+)
 from .topology import (
     C_of_nu,
+    SublocaleLattice,
     TopologicalStructure,
     enumerate_topologies,
     lim_of_C,
@@ -450,6 +461,12 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
 
         rep._law("lim-roundtrip-classical-pretop", witness, lim_roundtrip)
 
+        def induced_axioms(cs=cs):
+            violation = adherence_violation(cs.lattice, adh_structure_of(cs).nutab)
+            return violation is None, f"the induced adherence breaks {violation}"
+
+        rep._law("induced-adherence-axioms", witness, induced_axioms)
+
     for i in range(max(budget // 4, 4)):
         lat = random_downset_lattice(rng, max_elements=6)
         a = random_adherence_structure(rng, lat)
@@ -654,6 +671,32 @@ def _suite_kow(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
 _SUBLOCALE_COUNTS = {"CHAIN2": 2, "CHAIN3": 4, "BOOL2": 4}
 
 
+def star_extension_unique(
+    sl: SublocaleLattice, extension: LatticeMorphism
+) -> tuple[bool, str]:
+    """The uniqueness half of :func:`~coframes.topology.star`: no coframe
+    morphism other than ``extension`` agrees with it on the closed
+    sublocales.  Scans every table that keeps those values, so the cost is
+    the target size to the power of the number of other sublocales; meant
+    for small inputs."""
+    target = extension.target
+    forced = set(sl.closed_index)
+    free = [i for i in range(sl.lattice.n) if i not in forced]
+    for combo in itertools.product(range(target.n), repeat=len(free)):
+        table = list(extension.values)
+        for i, v in zip(free, combo):
+            table[i] = v
+        if tuple(table) == extension.values:
+            continue
+        candidate = LatticeMorphism(sl.lattice, target, tuple(table), "coframe")
+        if morphism_violation(candidate) is None:
+            return False, (
+                f"a second morphism {candidate.values} agrees on the closed "
+                f"sublocales with {extension.values}"
+            )
+    return True, ""
+
+
 def _suite_locale(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     rep = SuiteReport("locale")
     frames = [
@@ -718,6 +761,11 @@ def _suite_locale(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
             return True, ""
 
         rep._law("counit-retraction", witness, counit_retract)
+
+        def extension_unique(ts=ts):
+            return star_extension_unique(*sublocale_counit(ts))
+
+        rep._law("star-extension-unique", witness, extension_unique)
     return rep
 
 

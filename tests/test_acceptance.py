@@ -72,6 +72,7 @@ from coframes import (
 from coframes.adherence import adh0_table
 from coframes.convergence import S1_KINDS
 from coframes.filters import bits, enumerate_filter_masks, enumerate_upset_masks
+from coframes.laws import star_extension_unique
 from coframes.lattice import require_morphism
 from coframes.documents import convergence_from_doc
 from coframes.errors import NotDistributive
@@ -608,8 +609,9 @@ def test_criterion_10_sublocale_retract():
     assert sorted(row.bit_count() for row in sl3.lattice.up) == [1, 2, 2, 4]
     assert analyze(sl3.lattice).distributive
 
-    # extension through the closed embedding: validated closed form,
-    # morphism laws, and uniqueness (raising on any mismatch)
+    # extension through the closed embedding: validated closed form and
+    # morphism laws (raising on any mismatch), and uniqueness by an
+    # exhaustive scan over the tables agreeing on closed sublocales
     chain2 = lattice_fixture("CHAIN2")
     chain3 = lattice_fixture("CHAIN3")
     bool2 = lattice_fixture("BOOL2")
@@ -623,6 +625,7 @@ def test_criterion_10_sublocale_retract():
         extension = star(sl, target, values)
         for u in range(omega.n):
             assert extension.values[sl.closed_index[u]] == values[u]
+        assert star_extension_unique(sl, extension) == (True, "")
 
     # both triangle identities of the retraction, on every topology fixture
     triangles = 0

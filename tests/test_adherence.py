@@ -50,6 +50,14 @@ def labels(lat, items):
     return [lat.label(i) for i in items]
 
 
+def small_carriers(max_elements):
+    """The distributive carriers with at most ``max_elements`` elements."""
+    fixtures = [lattice_fixture(name) for name in lattice_fixture_names()]
+    return list(small_coframes(max_elements)) + [
+        lat for lat in fixtures if lat.n <= max_elements and analyze(lat).distributive
+    ]
+
+
 def valid_tables_oracle(lat):
     """Brute force: every self-map table passing the axiom scan."""
     return {
@@ -234,6 +242,18 @@ class TestClosedSets:
         assert report.quasi_closed == (lat.bottom, lat.top)
         assert report.closed == (lat.bottom, lat.top)
 
+    def test_raw_and_corrected_adherence_agree_on_closedness(self):
+        # a complemented element is closed under the raw adherence iff it is
+        # under the corrected one; every structure of small_coframes(6)
+        for lat in small_coframes(6):
+            comp = analyze(lat).complemented
+            for tab in enumerate_antitone_tables(lat):
+                cs = ConvergenceStructure(lat, tab)
+                corrected = tuple(
+                    l for l in bits(comp) if lat.leq(adh_table(cs)[l], l)
+                )
+                assert closed_sets(cs).closed == corrected, cs
+
     def test_adherence_structure_variant(self):
         ns = adherence_fixture("PX3_ADH")
         report = closed_sets(ns)
@@ -366,6 +386,16 @@ class TestGaloisLaws:
         assert back.limtab != cs.limtab
         assert lat.label(back.limtab[lat.top]) == "m"
         assert lat.label(cs.limtab[lat.top]) == "0"
+
+
+class TestInducedAdherence:
+    def test_induced_structure_satisfies_the_axioms(self):
+        # every structure on the distributive carriers with at most five
+        # elements
+        for lat in small_carriers(5):
+            for tab in enumerate_antitone_tables(lat):
+                ns = adh_structure_of(ConvergenceStructure(lat, tab))
+                assert adherence_violation(lat, ns.nutab) is None, ns
 
 
 def coframe_endomorphisms(lat):
@@ -503,6 +533,22 @@ class TestFinalLift:
                                 target.join_of(contrib[a] for a in fam)
                             )
                 assert out.nutab[l] == target.meet_of(best)
+
+    def test_every_lift_satisfies_the_axioms(self):
+        # on each distributive carrier with at most five elements: the empty
+        # sink, every one-map sink of an endomorphism and an adherence
+        # structure, and every sink of two identities
+        for lat in small_carriers(5):
+            structures = list(enumerate_adherence_structures(lat))
+            ident = identity_morphism(lat)
+            sinks = [[]]
+            sinks += [
+                [(phi, ns)] for phi in coframe_endomorphisms(lat) for ns in structures
+            ]
+            sinks += [[(ident, a), (ident, b)] for a in structures for b in structures]
+            for sink in sinks:
+                lifted = final_lift_adh(lat, sink)
+                assert adherence_violation(lat, lifted.nutab) is None, sink
 
     def test_sink_maps_continuous_and_lift_is_coarsest(self):
         two = lattice_fixture("CHAIN2")

@@ -162,6 +162,17 @@ class TestValidateCommand:
         assert "missing 4095 entries" in message
         assert len(message.encode()) < 1024
 
+    def test_missing_structure_entries_are_counted_not_listed(self, capsys, monkeypatch):
+        points = [f"p{i}" for i in range(12)]
+        top = "{" + ",".join(sorted(points)) + "}"
+        doc = {"lattice": {"powerset": points}, "lim": {"{}": top}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run(capsys, ["validate", "-", "--json"])
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert "missing 4095 entries" in message
+        assert len(message.encode()) < 1024
+
 
 class TestClassifyCommand:
     def test_sierpinski_flag_line(self, capsys, tmp_path):

@@ -105,6 +105,12 @@ class TestSubsetLabels:
         with pytest.raises(DocumentError):
             subset_mask(("a",), "a")
 
+    def test_one_parser_for_documents_and_spaces(self):
+        from coframes import documents, lattice
+
+        assert subset_mask is lattice.subset_mask
+        assert documents._subset_parses is lattice._subset_parses
+
 
 class TestLatticeDocuments:
     def test_round_trip_every_fixture(self):

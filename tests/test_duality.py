@@ -61,14 +61,53 @@ from coframes.fixtures import (
     topology_fixture,
 )
 from coframes.filters import Filter
+from coframes.adherence import enumerate_adherence_structures, lim_of_nu
+from coframes.convergence import ConvergenceStructure
+from coframes.fixtures import (
+    convergence_fixture_names,
+    enumerate_antitone_tables,
+    lattice_fixture_names,
+)
 from coframes.lattice import (
     LatticeMorphism,
+    analyze,
     bits,
     identity_morphism,
+    left_adjoint,
     morphism_violation,
     powerset_lattice,
 )
+from coframes.search import small_coframes
 from coframes.topology import sublocale_lattice, topological_structure
+
+
+def small_carriers():
+    """The distributive carriers with at most five elements."""
+    fixtures = [lattice_fixture(name) for name in lattice_fixture_names()]
+    return list(small_coframes(5)) + [
+        lat for lat in fixtures if lat.n <= 5 and analyze(lat).distributive
+    ]
+
+
+def structure_corpus():
+    """Every structure of ``small_coframes(5)`` and every fixture."""
+    return [
+        ConvergenceStructure(lat, t)
+        for lat in small_coframes(5)
+        for t in enumerate_antitone_tables(lat)
+    ] + [convergence_fixture(name) for name in convergence_fixture_names()]
+
+
+def small_spaces():
+    """Every convergence space on at most two points."""
+    return [sp for k in range(3) for sp in enumerate_spaces(("a", "b")[:k])]
+
+
+def pullback_by_definition(cs, a):
+    """Generator of the pulled-back filter by definition: the infimum of the
+    elements whose point sets contain the point subset ``a``."""
+    lat = cs.lattice
+    return lat.meet_of(l for l in range(lat.n) if bullet(cs, l) & a == a)
 
 
 class TestSpaceValidation:
@@ -91,11 +130,21 @@ class TestSpaceValidation:
             convergence_space(("a", "a"), (0b11, 0b01, 0b10, 0b00))
 
     def test_point_cap(self):
+        # every space type checks the cap before looking at its table
+        many = tuple(f"p{i}" for i in range(13))
         with pytest.raises(BudgetExceeded):
-            convergence_space(tuple(f"p{i}" for i in range(13)), ())
+            convergence_space(many, ())
+        with pytest.raises(BudgetExceeded):
+            FiniteAdherenceSpace(many, ())
+        with pytest.raises(BudgetExceeded):
+            FiniteTopologicalSpace(many, ())
 
     def test_subset_labels_round_trip(self):
         sp = space_fixture("PX3_SPACE")
+        for mask in range(1 << sp.n_points):
+            assert sp.subset_mask(sp.subset_label(mask)) == mask
+        # point labels may contain commas
+        sp = convergence_space(("a,b", "c"), (3, 1, 2, 0))
         for mask in range(1 << sp.n_points):
             assert sp.subset_mask(sp.subset_label(mask)) == mask
 
@@ -158,10 +207,7 @@ class TestPowersetStructure:
             assert classify(P_space(sp)).classical
 
     def test_preimage_morphism_matches_continuity_both_ways(self):
-        spaces = [
-            space_fixture(n)
-            for n in ("SIERP_SPACE", "DISCRETE2_SPACE", "CHAOTIC2_SPACE")
-        ]
+        spaces = small_spaces()
         for src in spaces:
             for tgt in spaces:
                 for f in all_point_maps(src, tgt):
@@ -249,12 +295,27 @@ class TestFilterPullback:
         with pytest.raises(LatticeMismatch):
             kow(cs, Filter(lattice_fixture("CHAIN2"), 0))
 
+    def test_generator_is_the_definitional_infimum(self):
+        for cs in structure_corpus():
+            plat = space_lattice(pt_space(cs))
+            for a in range(1 << len(points(cs))):
+                gen = kow(cs, Filter(plat, a)).generator
+                assert gen == pullback_by_definition(cs, a), (cs, a)
+
 
 class TestPointSpace:
     def test_sierpinski_round_trip(self):
         back = pt_space(convergence_fixture("SIERP_LIM"))
         assert back.points == ("{0}", "{1}")
         assert back.limtab == space_fixture("SIERP_SPACE").limtab
+
+    def test_table_is_the_limit_of_the_definitional_pullback(self):
+        for cs in structure_corpus():
+            sp = pt_space(cs)
+            assert sp.points == tuple(cs.lattice.label(p) for p in points(cs))
+            for a in range(1 << sp.n_points):
+                gen = pullback_by_definition(cs, a)
+                assert sp.limtab[a] == bullet(cs, cs.limtab[gen]), (cs, a)
 
     def test_discrete_structures_have_empty_point_space(self):
         for name in ("CHAIN3", "BOOL2", "PX3"):
@@ -355,6 +416,17 @@ class TestTranspose:
                 matches.append(f.values)
         assert matches == [dag.values]
 
+    def test_defining_equation_on_every_counit_and_unit(self):
+        # P(transpose)(points of l) = phi(l), for the counit of every
+        # structure in the corpus and the identity of every small space
+        cases = [(epsilon(cs), cs, pt_space(cs)) for cs in structure_corpus()]
+        for sp in small_spaces():
+            cases.append((identity_morphism(space_lattice(sp)), P_space(sp), sp))
+        for phi, cs, space in cases:
+            dag = phi_dagger(phi, cs, space)
+            for l in range(cs.lattice.n):
+                assert dag.preimage_mask(bullet(cs, l)) == phi.values[l], (cs, l)
+
     def test_transpose_is_continuous(self):
         for name in ("SIERP_SPACE", "DISCRETE2_SPACE", "CHAOTIC2_SPACE"):
             sp = space_fixture(name)
@@ -406,6 +478,9 @@ class TestPointFunctorOnMaps:
             for tgt in structures:
                 report = check_continuity(identity_morphism(lat), src, tgt)
                 if report.continuous:
+                    # the left adjoint sends target points to source points
+                    adj = left_adjoint(identity_morphism(lat))
+                    assert {adj.values[p] for p in points(tgt)} <= set(points(src))
                     g = pt_map(identity_morphism(lat), src, tgt)
                     assert is_continuous(g)
 
@@ -523,6 +598,9 @@ class TestClosureSpaces:
         with pytest.raises(AxiomViolation) as err:
             FiniteAdherenceSpace(("a", "b"), (0, 1, 2, 0))
         assert err.value.axiom == "closure.additive"
+        with pytest.raises(AxiomViolation) as err:
+            FiniteAdherenceSpace(("a",), (0, 0b11))
+        assert err.value.axiom == "closure.table"
 
     def test_continuity_transfers_both_ways(self):
         pretops = [
@@ -555,6 +633,13 @@ class TestPointSpacesOfAdherence:
         got = pt_adh(adherence_fixture("VOID_ADH_BOOL2"))
         assert got.points == () and got.adhtab == (0,)
 
+    def test_is_the_closure_space_of_the_induced_point_convergence(self):
+        for lat in small_carriers():
+            for ns in enumerate_adherence_structures(lat):
+                got = pt_adh(ns)
+                via = to_adherence(pt_space(lim_of_nu(ns)))
+                assert (got.points, got.adhtab) == (via.points, via.adhtab), ns
+
 
 class TestPointSpacesOfTopologies:
     def test_two_point_chain_sublocales_give_sierpinski(self):
@@ -574,6 +659,9 @@ class TestPointSpacesOfTopologies:
             FiniteTopologicalSpace(("a", "b"), (0b00, 0b01))
         with pytest.raises(AxiomViolation):
             FiniteTopologicalSpace(("a", "b", "c"), (0b000, 0b001, 0b010, 0b111))
+        with pytest.raises(AxiomViolation) as err:
+            FiniteTopologicalSpace(("a", "b"), (0, 3, 3 | 1 << 40))
+        assert err.value.axiom == "space.closed"
 
     def test_point_space_convergence_matches_structure_convergence(self):
         for name in ("BOOL2", "PX3"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -119,6 +120,24 @@ def wwb_brute_force(lat) -> tuple[int, ...]:
     # the empty family: sup is bottom, nothing is covered
     not_wwb[lat.bottom] = full
     return tuple(full & ~row for row in not_wwb)
+
+
+def infimum_violation_by_subsets(phi) -> int | None:
+    """The coframe-infimum law by definition: the infimum of every subset of
+    the source maps to the infimum of the images.  Returns the first subset
+    (as a mask) whose infimum is not preserved, or None."""
+    src, tgt, vals = phi.source, phi.target, phi.values
+    size = 1 << src.n
+    meet_src = [src.top] * size
+    meet_img = [tgt.top] * size
+    for s in range(1, size):
+        low = s & -s
+        e = low.bit_length() - 1
+        meet_src[s] = src.meet(meet_src[s ^ low], e)
+        meet_img[s] = tgt.meet(meet_img[s ^ low], vals[e])
+        if vals[meet_src[s]] != meet_img[s]:
+            return s
+    return None
 
 
 def closure_system_lattice(rng: random.Random, ground: int):
@@ -497,6 +516,32 @@ class TestMorphisms:
         c2, c3 = lattice_fixture("CHAIN2"), lattice_fixture("CHAIN3")
         shifted = LatticeMorphism(c2, c3, (c3.index("m"), c3.index("1")), kind="monotone")
         assert check_morphism(shifted)
+
+    def test_bound_and_binary_laws_imply_arbitrary_infima(self):
+        # oracle: the subset scan, on every map between fixtures of at most
+        # five elements that passes the bound and binary laws
+        small = [
+            lattice_fixture(name)
+            for name in lattice_fixture_names()
+            if lattice_fixture(name).n <= 5
+        ]
+        passing = 0
+        for src in small:
+            inner = [x for x in range(src.n) if x not in (src.bottom, src.top)]
+            for tgt in small:
+                for combo in itertools.product(range(tgt.n), repeat=len(inner)):
+                    vals = [tgt.bottom] * src.n
+                    vals[src.top] = tgt.top
+                    for x, v in zip(inner, combo):
+                        vals[x] = v
+                    phi = LatticeMorphism(src, tgt, tuple(vals))
+                    if morphism_violation(phi) is None:
+                        passing += 1
+                        assert infimum_violation_by_subsets(phi) is None, phi
+        assert passing > 400
+        b2, c2 = lattice_fixture("BOOL2"), lattice_fixture("CHAIN2")
+        bad = LatticeMorphism(b2, c2, (0, 1, 1, 1))
+        assert infimum_violation_by_subsets(bad) is not None
 
     def test_left_adjoint_of_inclusion(self):
         c2, c3 = lattice_fixture("CHAIN2"), lattice_fixture("CHAIN3")

@@ -5,6 +5,7 @@ in the seed."""
 import pytest
 
 from coframes.errors import ConjectureError
+from coframes.fixtures import convergence_fixture_names
 from coframes.laws import SuiteReport, Violation, run_all, run_suite, suite_names
 
 BUDGET = 40  # keeps the whole file fast while still exercising random corpora
@@ -71,6 +72,24 @@ class TestFaultInjection:
         assert v.law
         assert v.message
         assert isinstance(v.witness, dict)
+
+    def test_moved_cross_checks_are_laws_that_can_fail(self, monkeypatch):
+        # the induced adherence axioms (galois-adh) and the uniqueness of the
+        # sublocale extension (locale) run once per corpus member
+        import coframes.laws as laws
+
+        monkeypatch.setattr(laws, "adherence_violation", lambda lat, tab: ("a", "b"))
+        monkeypatch.setattr(laws, "star_extension_unique", lambda sl, ext: (False, "x"))
+        galois = run_suite("galois-adh", seed=0, budget=10)
+        locale = run_suite("locale", seed=0, budget=10)
+        induced = [v for v in galois.violations if v.law == "induced-adherence-axioms"]
+        unique = [v for v in locale.violations if v.law == "star-extension-unique"]
+        assert [v.witness["origin"] for v in induced] == list(
+            convergence_fixture_names()
+        ) + [f"random-{i}" for i in range(10)]
+        assert {v.witness["origin"] for v in unique} == {
+            "SIERP_TOP", "INDISCRETE_TOP", "DISCRETE_TOP", "PX3_TOP"
+        }
 
     def test_crashing_law_evaluations_are_reported_not_swallowed(self):
         # The corrupted non-distributive carrier makes at least one law

@@ -1,6 +1,8 @@
 """Answers do not depend on assertions: ``python -O`` strips every ``assert``
-and must give the same classification and search outcomes."""
+and must give the same classification and search outcomes, and the library
+holds no ``assert`` statement at all."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +10,18 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_library_has_no_assert_statements():
+    # invariants raise EngineError subclasses; cross-checks live in the
+    # tests and the law suites
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "coframes").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert sites == []
 
 SCRIPT = """
 import json, sys

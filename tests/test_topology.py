@@ -19,6 +19,7 @@ from coframes import (
     StarFormulaMismatch,
     adh_structure_of,
     adherence_structure,
+    adherence_violation,
     analyze,
     check_continuity,
     classify,
@@ -45,10 +46,14 @@ from coframes.fixtures import (
     convergence_fixture_names,
     enumerate_antitone_tables,
     lattice_fixture,
+    lattice_fixture_names,
     random_convergence_structure,
     topology_fixture,
+    topology_fixture_names,
 )
+from coframes.laws import star_extension_unique
 from coframes.search import small_coframes
+from coframes.topology import _SUBLOCALE_BUDGET
 from coframes.lattice import (
     LatticeMorphism,
     bits,
@@ -58,6 +63,15 @@ from coframes.lattice import (
     morphism_violation,
     require_morphism,
 )
+
+
+def frame_fixtures():
+    """Every distributive lattice fixture small enough for sublocales."""
+    return [
+        lat
+        for lat in map(lattice_fixture, lattice_fixture_names())
+        if lat.n <= _SUBLOCALE_BUDGET and analyze(lat).distributive
+    ]
 
 
 def labels(lat, items):
@@ -124,6 +138,15 @@ class TestClosureOperator:
                         assert lat.leq(nu[l], c) == lat.leq(l, c)
                 for c in bits(ts.closed):
                     assert nu[c] == c
+
+    def test_closure_satisfies_the_adherence_axioms(self):
+        # every topology of small_coframes(6), BOOL3, PX3 and V5
+        carriers = list(small_coframes(6)) + [
+            lattice_fixture(name) for name in ("BOOL3", "PX3", "V5")
+        ]
+        for lat in carriers:
+            for ts in enumerate_topologies(lat):
+                assert adherence_violation(lat, nu_of_C(ts).nutab) is None, ts
 
     def test_fixed_points_are_the_closed_elements(self):
         for name in ("BOOL2", "PX3"):
@@ -413,10 +436,10 @@ class TestSublocales:
                         assert join_mask & sl.masks[k] == join_mask
 
     def test_closed_embedding_is_an_order_embedding(self):
-        for name in ("CHAIN3", "BOOL2", "PX3"):
-            omega = lattice_fixture(name)
+        for omega in frame_fixtures():
             sl = sublocale_lattice(omega)
             require_morphism(sl.closed_embedding)
+            assert len(set(sl.closed_index)) == omega.n
             opposite = dualize(omega)
             for u in range(omega.n):
                 for v in range(omega.n):
@@ -425,12 +448,16 @@ class TestSublocales:
                     )
 
     def test_open_and_closed_parts_complement(self):
-        for name in ("CHAIN3", "BOOL2", "PX3"):
-            omega = lattice_fixture(name)
+        for omega in frame_fixtures():
             sl = sublocale_lattice(omega)
             lat = sl.lattice
+            complement = analyze(lat).complement
             for u in range(omega.n):
                 c, o = sl.closed_index[u], sl.open_index[u]
+                # the open part is the sublocale of implications into u's image
+                implications = {heyting_implication(omega, u, v) for v in range(omega.n)}
+                assert set(bits(sl.masks[o])) == implications
+                assert complement[c] == o
                 assert lat.meet(c, o) == lat.bottom
                 assert lat.join(c, o) == lat.top
 
@@ -486,6 +513,31 @@ class TestStar:
         phi = star(sl, omega, values)
         for u in range(omega.n):
             assert phi.values[sl.closed_index[u]] == values[u]
+
+    def test_extension_is_unique(self):
+        # the exhaustive scan over tables agreeing on closed sublocales, on
+        # the frame-map cases above and every topology fixture's collapse
+        omega = lattice_fixture("BOOL2")
+        sl = sublocale_lattice(omega)
+        cases = [(sl, star(sl, omega, list(range(omega.n))))]
+        chain2, chain3 = lattice_fixture("CHAIN2"), lattice_fixture("CHAIN3")
+        sl2, sl3 = sublocale_lattice(chain2), sublocale_lattice(chain3)
+        cases.append((sl2, sublocale_map(sl2, sl3, [chain3.bottom, chain3.top])))
+        cases.append((sl3, sublocale_map(sl3, sl2, [0, 0, 1])))
+        cases += [sublocale_counit(topology_fixture(n)) for n in topology_fixture_names()]
+        for sl, extension in cases:
+            assert star_extension_unique(sl, extension) == (True, ""), extension
+
+    def test_uniqueness_scan_finds_the_true_extension(self):
+        # a table that agrees on closed sublocales but is not the extension
+        # is caught: the scan meets the genuine morphism
+        sl, collapse = sublocale_counit(topology_fixture("PX3_TOP"))
+        free = next(i for i in range(sl.lattice.n) if i not in sl.closed_index)
+        wrong = list(collapse.values)
+        wrong[free] = (wrong[free] + 1) % collapse.target.n
+        forged = LatticeMorphism(sl.lattice, collapse.target, tuple(wrong))
+        ok, message = star_extension_unique(sl, forged)
+        assert not ok and "second morphism" in message
 
 
 class TestSublocaleFunctor:
