@@ -127,7 +127,8 @@ class ConvergenceStructure:
 def convergence_structure(
     lattice: FiniteLattice, limtab: Sequence[int]
 ) -> ConvergenceStructure:
-    """Validating constructor (same checks as the dataclass, kept for symmetry)."""
+    """The public validating constructor: accepts any sequence of indices
+    and raises as :class:`ConvergenceStructure` does on a bad table."""
     return ConvergenceStructure(lattice, tuple(limtab))
 
 

@@ -342,26 +342,37 @@ def random_poset(rng: random.Random, size: int, edge_prob: float = 0.4) -> Finit
 def random_downset_lattice(
     rng: random.Random, max_elements: int = 8, max_poset: int = 4
 ) -> FiniteLattice:
-    """A random distributive lattice (downsets of a random small poset)."""
+    """A random distributive lattice (downsets of a random small poset).
+
+    Posets are drawn until one has at most ``max_elements`` down-sets; the
+    down-sets are counted before the lattice is built, so a rejected draw
+    builds no carrier."""
     while True:
         size = rng.randint(2, max_poset)
-        lat = downset_lattice(random_poset(rng, size))
-        if lat.n <= max_elements:
-            return lat
+        poset = random_poset(rng, size)
+        if len(poset.downsets) <= max_elements:
+            return downset_lattice(poset)
 
 
-def random_antitone_table(rng: random.Random, lattice: FiniteLattice) -> tuple[int, ...]:
+def random_antitone_table(
+    rng: random.Random, lattice: FiniteLattice, *, pretopological: bool = False
+) -> tuple[int, ...]:
     """A uniform-per-step random antitone self-map table.
 
     Processing a linear extension bottom-up, each value is drawn uniformly
     from the down-set of the meet of the already-fixed values at the lower
-    covers (antitone: bigger inputs get smaller outputs).
+    covers (antitone: bigger inputs get smaller outputs).  ``pretopological``
+    fixes values as in :func:`enumerate_antitone_tables`; a fixed value draws
+    nothing from ``rng``.
     """
     table = [0] * lattice.n
     covers = lattice.covers
     for h in lattice.rank_order():
         bound = lattice.meet_of(table[g] for g in covers[h])
-        table[h] = rng.choice(list(bits(lattice.down[bound])))
+        if pretopological and len(covers[h]) != 1:
+            table[h] = bound
+        else:
+            table[h] = rng.choice(list(bits(lattice.down[bound])))
     return tuple(table)
 
 
@@ -371,17 +382,34 @@ def random_convergence_structure(
     return ConvergenceStructure(lattice, random_antitone_table(rng, lattice))
 
 
-def enumerate_antitone_tables(lattice: FiniteLattice) -> Iterator[tuple[int, ...]]:
+def enumerate_antitone_tables(
+    lattice: FiniteLattice, *, pretopological: bool = False
+) -> Iterator[tuple[int, ...]]:
     """All antitone self-map tables, in a deterministic order: along a
     linear extension, each value ranges over the down-set of the meet of the
     values at the lower covers, in increasing index order (the last position
-    varies fastest)."""
+    varies fastest).
+
+    ``pretopological`` fixes the value at every element that is not
+    join-irreducible to that meet: top at the bottom, and ``t(a) ^ t(b)`` at
+    each ``x = a v b`` (the closed form of ``s1(..., "pretop")``).  The
+    tables stay antitone on any carrier; on a distributive one they are
+    exactly the pretopological tables, one per antitone map from the
+    join-irreducibles, whose value at a join-irreducible ranges over the
+    down-set of the value at its one lower cover.  Only the join-irreducibles
+    branch, so a table costs O(n)."""
     order = lattice.rank_order()
     covers = lattice.covers
     members = [tuple(bits(below)) for below in lattice.down]
+    fixed = [pretopological and len(covers[h]) != 1 for h in order]
     table = [0] * lattice.n
 
     def rec(pos: int) -> Iterator[tuple[int, ...]]:
+        # fixed positions take their value without branching
+        while pos < len(order) and fixed[pos]:
+            h = order[pos]
+            table[h] = lattice.meet_of(table[g] for g in covers[h])
+            pos += 1
         if pos == len(order):
             yield tuple(table)
             return

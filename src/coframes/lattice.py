@@ -467,6 +467,23 @@ class FinitePoset:
     def n(self) -> int:
         return len(self.labels)
 
+    @derived
+    def downsets(self) -> tuple[int, ...]:
+        """The down-closed subsets as point masks, ordered by (size, mask),
+        which is a linear extension of inclusion.
+
+        Points are added in order of down-set size, so each new point is
+        maximal among those added: the down-sets grow by the old ones that
+        hold everything strictly below it, with the point added.  That is
+        O(k) per down-set, not a scan of all ``2^k`` masks."""
+        found = [0]
+        for p in sorted(range(self.n), key=lambda i: self.below[i].bit_count()):
+            bit = 1 << p
+            strictly_below = self.below[p] ^ bit
+            found += [d | bit for d in found if d & strictly_below == strictly_below]
+        found.sort(key=lambda m: (m.bit_count(), m))
+        return tuple(found)
+
 
 def poset_from_covers(
     labels: Sequence[str], covers: Iterable[tuple[int | str, int | str]]
@@ -488,15 +505,9 @@ def downset_lattice(poset: FinitePoset, name: str | None = None) -> FiniteLattic
     intersection and union.  Elements are ordered by (size, mask), which is a
     linear extension.
     """
-    k = poset.n
-    if k > 16:
+    if poset.n > 16:
         raise BudgetExceeded("downset lattice over more than 16 poset elements")
-    masks = [
-        m
-        for m in range(1 << k)
-        if all(poset.below[i] & m == poset.below[i] for i in bits(m))
-    ]
-    masks.sort(key=lambda m: (m.bit_count(), m))
+    masks = poset.downsets
     n = len(masks)
     index_of = {m: i for i, m in enumerate(masks)}
     up = [0] * n

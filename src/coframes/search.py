@@ -3,12 +3,17 @@
 Conjectures come from a deliberately tiny grammar: a conjunction of named
 class predicates, optionally implying another conjunction
 (``"centered & pretopological => topological"``).  The search tries the
-built-in fixture corpus first, then exhaustively sweeps every structure on
-the carriers of :func:`small_coframes` up to a size bound (down-set lattices
-of posets with at most five points: every distributive lattice with at most
-six elements, but not the larger ones with more than five join-irreducibles,
-such as the 7-element chain), and finally draws seeded random samples from
-slightly larger carriers.  Results are a pure function of the arguments.
+built-in fixture corpus first, then exhaustively sweeps the carriers of
+:func:`small_coframes` up to a size bound (every distributive lattice of
+that size, once up to isomorphism), and finally draws seeded random samples
+from slightly larger carriers.  Results are a pure function of the
+arguments.
+
+Candidates come from the antecedent's class, as every structure outside it
+leaves the conjecture standing: the structures of the topologies when the
+antecedent names ``topological``, else the pretopological tables when it
+names ``pretopological`` or both ``strict`` and ``limit``, and every
+antitone table otherwise.
 
 Each candidate is judged through :class:`~coframes.convergence.ClassFlags`:
 only the flags the conjecture names are computed, cheapest first, and only
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import groupby, permutations, product
 from typing import Any, Iterator, Mapping
 
 from .convergence import CLASS_COST_ORDER, ClassFlags, ConvergenceStructure, classify
@@ -33,7 +38,8 @@ from .fixtures import (
     random_antitone_table,
     random_downset_lattice,
 )
-from .lattice import FiniteLattice, build_lattice, downset_lattice, poset_from_covers
+from .lattice import FiniteLattice, FinitePoset, bits, downset_lattice
+from .topology import enumerate_topologies, lim_of_C
 
 __all__ = [
     "Conjecture",
@@ -53,6 +59,10 @@ PREDICATES = (
 )
 
 _EXHAUSTIVE_STRUCTURE_CAP = 500_000
+
+# downset_lattice takes posets of at most 16 points, and the 17-chain is
+# the one carrier of 17 elements that needs all of them
+_LARGEST_CARRIER = 17
 
 
 @dataclass(frozen=True)
@@ -132,56 +142,126 @@ def parse_conjecture(text: str) -> Conjecture:
 # carrier enumeration
 
 
-def _closed_relations(k: int) -> Iterator[frozenset[tuple[int, int]]]:
-    """Every transitively closed strict order on ``k`` points whose edges go
-    up in index order.  Every poset admits a linear extension, so up to
-    isomorphism this reaches all of them."""
-    pairs = list(combinations(range(k), 2))
-    seen: set[frozenset[tuple[int, int]]] = set()
-    for mask in range(1 << len(pairs)):
-        chosen = {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(chosen):
-                for (c, d) in list(chosen):
-                    if b == c and (a, d) not in chosen:
-                        chosen.add((a, d))
-                        changed = True
-        key = frozenset(chosen)
-        if key not in seen:
-            seen.add(key)
-            yield key
+def _canonical_form(below: tuple[int, ...]) -> tuple[int, ...]:
+    """A complete isomorphism invariant of a poset given by reflexive
+    down-rows: the least relabelled row tuple over the orderings that sort
+    the points by (down-degree, up-degree).
+
+    An isomorphism keeps both degrees, so it maps these orderings of one
+    poset onto those of the other; only points in one degree block are
+    permuted."""
+    k = len(below)
+    up_degree = [sum(row >> i & 1 for row in below) for i in range(k)]
+
+    def degrees(i: int) -> tuple[int, int]:
+        return below[i].bit_count(), up_degree[i]
+
+    def relabelled(order: list[int]) -> tuple[int, ...]:
+        position = [0] * k
+        for new, old in enumerate(order):
+            position[old] = new
+        return tuple(sum(1 << position[j] for j in bits(below[old])) for old in order)
+
+    blocks = [
+        tuple(block) for _, block in groupby(sorted(range(k), key=degrees), key=degrees)
+    ]
+    return min(
+        relabelled([p for block in choice for p in block])
+        for choice in product(*map(permutations, blocks))
+    )
+
+
+def _posets(max_downsets: int) -> list[FinitePoset]:
+    """Every poset with at most ``max_downsets`` down-sets, once up to
+    isomorphism, fewest points first.
+
+    A poset on ``k + 1`` points is one on ``k`` points with a maximal point
+    added over one of its down-sets, so the posets grow a point at a time.
+    A new point keeps every old down-set and adds one per old down-set that
+    holds its strict down-set, so the count never falls and a poset past the
+    bound is not grown further."""
+    level = [FinitePoset((), ())] if max_downsets >= 1 else []
+    found = list(level)
+    while level:
+        k = level[0].n
+        labels = tuple(f"p{i}" for i in range(k + 1))
+        seen: set[tuple[int, ...]] = set()
+        grown = []
+        for poset in level:
+            downsets = poset.downsets
+            for below in downsets:
+                added = sum(1 for d in downsets if d & below == below)
+                if len(downsets) + added > max_downsets:
+                    continue
+                rows = poset.below + (below | 1 << k,)
+                form = _canonical_form(rows)
+                if form not in seen:
+                    seen.add(form)
+                    grown.append(FinitePoset(labels, rows))
+        found += grown
+        level = grown
+    return found
+
+
+def _check_carrier_bound(max_elements: int) -> None:
+    if max_elements > _LARGEST_CARRIER:
+        raise BudgetExceeded(
+            f"carriers above {_LARGEST_CARRIER} elements are not enumerated; "
+            "lower --max-lattice"
+        )
 
 
 def small_coframes(max_elements: int) -> Iterator[FiniteLattice]:
-    """Distributive lattices with at most ``max_elements`` elements, as
-    down-set lattices of posets with at most five points (possibly with
-    isomorphic repeats), smallest carriers first.
+    """Every distributive lattice with at most ``max_elements`` elements,
+    once up to isomorphism, smallest carriers first.
 
-    A finite distributive lattice is the down-set lattice of its
-    join-irreducibles, so this reaches every carrier with at most five of
-    them: all distributive lattices up to six elements, but from seven
-    elements on not those with more join-irreducibles, starting with the
-    7-element chain."""
-    emitted: set[tuple[tuple[int, ...], ...]] = set()
-    yield build_lattice("D0", ("e",), [])
-    for k in range(1, min(max_elements - 1, 5) + 1):
-        labels = tuple(f"p{i}" for i in range(k))
-        batch = []
-        for relation in _closed_relations(k):
-            poset = poset_from_covers(
-                labels, [(labels[a], labels[b]) for a, b in sorted(relation)]
-            )
-            lat = downset_lattice(poset, f"D{k}")
-            if lat.n > max_elements:
-                continue
-            key = tuple(sorted(tuple(sorted(lat.up)),))
-            if key in emitted:
-                continue
-            emitted.add(key)
-            batch.append(lat)
-        yield from sorted(batch, key=lambda lat: lat.n)
+    By Birkhoff's theorem a finite distributive lattice is the down-set
+    lattice of its poset of join-irreducibles, and two are isomorphic iff
+    those posets are, so the carriers are the down-set lattices of
+    :func:`_posets`.  Their counts per size are OEIS A006982: 1, 1, 1, 2,
+    3, 5, 8, 15, 26 for sizes 1 to 9.  A carrier is built only when it is
+    reached.  Bounds above 17 raise :class:`BudgetExceeded` before any
+    poset is listed."""
+    _check_carrier_bound(max_elements)
+    for poset in sorted(_posets(max_elements), key=lambda p: len(p.downsets)):
+        yield downset_lattice(poset, f"D{poset.n}")
+
+
+# ---------------------------------------------------------------------------
+# candidate structures from the antecedent's class
+
+
+def _names_pretopological(antecedent: tuple[str, ...]) -> bool:
+    """Whether the antecedent implies pretopological (= strict and limit)."""
+    return "pretopological" in antecedent or {"strict", "limit"} <= set(antecedent)
+
+
+def _candidates(
+    antecedent: tuple[str, ...], lat: FiniteLattice
+) -> Iterator[ConvergenceStructure]:
+    """Every structure on the carrier that can satisfy the antecedent: the
+    topological ones when it names ``topological``, else the pretopological
+    ones when it implies ``pretopological``, else every antitone table."""
+    if "topological" in antecedent:
+        return map(lim_of_C, enumerate_topologies(lat))
+    tables = enumerate_antitone_tables(
+        lat, pretopological=_names_pretopological(antecedent)
+    )
+    return (ConvergenceStructure(lat, tab) for tab in tables)
+
+
+def _random_candidate(
+    antecedent: tuple[str, ...], rng: random.Random, lat: FiniteLattice
+) -> ConvergenceStructure:
+    """One seeded draw from the class of :func:`_candidates`."""
+    if "topological" in antecedent:
+        return lim_of_C(rng.choice(list(enumerate_topologies(lat))))
+    return ConvergenceStructure(
+        lat,
+        random_antitone_table(
+            rng, lat, pretopological=_names_pretopological(antecedent)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +299,17 @@ def search_counterexample(
 ) -> SearchResult:
     """First counterexample in canonical order, or exhaustion.
 
-    Order: the fixture corpus, then every structure on every distributive
-    lattice with at most ``max_lattice`` elements, then ``budget`` seeded
-    random structures on slightly larger carriers.
+    Order: the fixture corpus, then every structure of the antecedent's
+    class on every distributive lattice with at most ``max_lattice``
+    elements (each once up to isomorphism), then ``budget`` seeded random
+    structures of that class on slightly larger carriers.  Every candidate
+    is judged on the whole conjecture, antecedent included, and counts
+    towards the cap of the exhaustive phase.  A ``max_lattice`` above 17
+    raises :class:`BudgetExceeded` before any candidate is tried.
     """
     if max_lattice < 1:
         raise ConjectureError("--max-lattice must be at least 1")
+    _check_carrier_bound(max_lattice)
     structures = 0
     lattices = 0
 
@@ -246,23 +331,23 @@ def search_counterexample(
         if conjecture.refuted_by(ClassFlags(cs)):
             return result(f"fixture:{name}", cs)
 
+    antecedent = conjecture.antecedent
     for lat in small_coframes(max_lattice):
         lattices += 1
-        for tab in enumerate_antitone_tables(lat):
+        for cs in _candidates(antecedent, lat):
             structures += 1
             if structures > _EXHAUSTIVE_STRUCTURE_CAP:
                 raise BudgetExceeded(
                     f"more than {_EXHAUSTIVE_STRUCTURE_CAP} candidate structures; "
                     "lower --max-lattice"
                 )
-            cs = ConvergenceStructure(lat, tab)
             if conjecture.refuted_by(ClassFlags(cs)):
                 return result(f"enumerated:{lat.name}[{lat.n}]", cs)
 
     rng = random.Random(seed)
     for i in range(budget):
         lat = random_downset_lattice(rng, max_elements=max(8, max_lattice))
-        cs = ConvergenceStructure(lat, random_antitone_table(rng, lat))
+        cs = _random_candidate(antecedent, rng, lat)
         structures += 1
         if conjecture.refuted_by(ClassFlags(cs)):
             return result(f"random:{i}", cs)

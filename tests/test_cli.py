@@ -18,6 +18,7 @@ from coframes.documents import (
 from coframes.convergence import classify, s1
 from coframes.fixtures import random_antitone_table
 from coframes.lattice import build_lattice, powerset_lattice, subset_label
+from coframes.search import _EXHAUSTIVE_STRUCTURE_CAP
 
 
 def run(capsys, argv):
@@ -377,6 +378,22 @@ class TestSearchCommand:
         )
         assert code == 0
         assert "exhausted: True" in out
+
+    @pytest.mark.parametrize(
+        "conjecture",
+        ["pretopological => strict & limit", "topological => pretopological"],
+    )
+    def test_every_carrier_up_to_nine_elements_is_exhausted(self, capsys, conjecture):
+        code, out, _ = run(
+            capsys,
+            ["search", "--conjecture", conjecture, "--max-lattice", "9", "--json"],
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["exhausted"] is True
+        # 1 + 1 + 1 + 2 + 3 + 5 + 8 + 15 + 26 distributive lattices (A006982)
+        assert report["lattices_tested"] == 62
+        assert report["structures_tested"] < _EXHAUSTIVE_STRUCTURE_CAP
 
     def test_bad_conjecture_is_a_config_error(self, capsys):
         code, out, _ = run(capsys, ["search", "--conjecture", "strict => bogus"])

@@ -35,7 +35,12 @@ from coframes import (
 )
 from coframes.filters import _nonzero_meet_rows
 from coframes.lattice import LatticeMorphism, bits
-from coframes.fixtures import lattice_fixture, lattice_fixture_names, random_poset
+from coframes.fixtures import (
+    lattice_fixture,
+    lattice_fixture_names,
+    random_downset_lattice,
+    random_poset,
+)
 from coframes.search import small_coframes
 
 
@@ -247,6 +252,11 @@ class TestConstruction:
         a, b = v5.index("{a}"), v5.index("{b}")
         assert v5.meet(a, b) == v5.bottom
         assert v5.label(v5.join(a, b)) == "{a,b}"
+
+    def test_downsets_with_the_top_point_listed_first(self):
+        poset = poset_from_covers(("c", "a", "b"), [("a", "c"), ("b", "c")])
+        lat = downset_lattice(poset)
+        assert lat.elements == ("{}", "{a}", "{b}", "{a,b}", "{a,b,c}")
 
     def test_rank_order_is_linear_extension(self):
         for name in lattice_fixture_names():
@@ -607,6 +617,30 @@ class TestRandomLattices:
     def test_dualize_is_an_involution(self, poset):
         lat = downset_lattice(poset)
         assert dualize(dualize(lat)) is lat
+
+    @given(posets())
+    @settings(max_examples=60, deadline=None)
+    def test_downsets_equal_the_mask_scan(self, poset):
+        # the grown down-sets against a scan of every subset of the points
+        scan = [
+            m
+            for m in range(1 << poset.n)
+            if all(poset.below[i] & m == poset.below[i] for i in bits(m))
+        ]
+        assert list(poset.downsets) == sorted(scan, key=lambda m: (m.bit_count(), m))
+        assert downset_lattice(poset).n == len(scan)
+
+    def test_random_carriers_equal_build_then_reject(self):
+        # counting down-sets first keeps the draws of building every
+        # drawn poset and rejecting the large carriers
+        a, b = random.Random(3), random.Random(3)
+        for _ in range(200):
+            lat = random_downset_lattice(a, max_elements=6)
+            while True:
+                ref = downset_lattice(random_poset(b, b.randint(2, 4)))
+                if ref.n <= 6:
+                    break
+            assert (lat.elements, lat.up) == (ref.elements, ref.up)
 
     def test_random_poset_generator_is_seeded(self):
         a = random_poset(random.Random(7), 4)

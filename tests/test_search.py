@@ -1,6 +1,9 @@
 """Tests for the conjecture grammar, the small-carrier sweep, and the
 counterexample search."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from coframes import analyze
@@ -12,11 +15,19 @@ from coframes.convergence import (
     classify,
 )
 from coframes.documents import convergence_from_doc
-from coframes.errors import ConjectureError
-from coframes.fixtures import enumerate_antitone_tables
+from coframes.errors import BudgetExceeded, ConjectureError
+from coframes.fixtures import (
+    convergence_fixture_names,
+    enumerate_antitone_tables,
+    lattice_fixture,
+    lattice_fixture_names,
+)
+from coframes.lattice import downset_lattice, poset_from_covers
 from coframes.search import (
     PREDICATES,
     Conjecture,
+    _candidates,
+    _random_candidate,
     parse_conjecture,
     search_counterexample,
     small_coframes,
@@ -130,15 +141,133 @@ class TestSmallCoframes:
         for lat in small_coframes(5):
             assert analyze(lat).distributive
 
-    def test_no_duplicate_carriers_up_to_isomorphism_signature(self):
-        seen = set()
-        for lat in small_coframes(5):
-            signature = tuple(sorted(lat.up))
-            assert signature not in seen
-            seen.add(signature)
+    def test_carrier_counts_are_the_distributive_lattice_counts(self):
+        # OEIS A006982: distributive lattices on n unlabeled elements
+        counts = Counter(lat.n for lat in small_coframes(9))
+        assert [counts[n] for n in range(1, 10)] == [1, 1, 1, 2, 3, 5, 8, 15, 26]
+
+    def test_no_two_carriers_are_isomorphic(self):
+        carriers = list(small_coframes(8))
+        for i, a in enumerate(carriers):
+            for b in carriers[i + 1 :]:
+                assert not order_isomorphic(a, b), (a, b)
+
+    def test_isomorphism_check_sees_relabelled_copies(self):
+        # the same poset a < c > b under another labelling and point order
+        first = downset_lattice(poset_from_covers(("a", "b", "c"), [("a", "c"), ("b", "c")]))
+        second = downset_lattice(poset_from_covers(("z", "y", "x"), [("x", "z"), ("y", "z")]))
+        assert order_isomorphic(first, second)
+        assert order_isomorphic(first, lattice_fixture("V5"))
+        assert not order_isomorphic(first, first.dual)
+
+    def test_long_chains_are_carriers(self):
+        chains = [lat.n for lat in small_coframes(8) if is_chain(lat)]
+        assert chains == list(range(1, 9))
 
     def test_size_bound_respected(self):
         assert max(lat.n for lat in small_coframes(4)) == 4
+
+    def test_bound_above_seventeen_is_refused_up_front(self):
+        with pytest.raises(BudgetExceeded):
+            next(small_coframes(18))
+        # also for a conjecture a fixture refutes before any carrier is built
+        for text in ("topological => strict", "strict => centered"):
+            with pytest.raises(BudgetExceeded):
+                search_counterexample(parse_conjecture(text), max_lattice=40)
+
+
+def is_chain(lat):
+    return all((lat.up[i] | lat.down[i]) == lat.full_mask for i in range(lat.n))
+
+
+def order_isomorphic(a, b):
+    """Whether some bijection of the elements preserves and reflects the
+    order, by backtracking over elements in rank order; an image must have
+    the same down- and up-set sizes."""
+    if a.n != b.n:
+        return False
+
+    def degrees(lat, i):
+        return lat.down[i].bit_count(), lat.up[i].bit_count()
+
+    order = a.rank_order()
+    image = {}
+
+    def extend(pos):
+        if pos == len(order):
+            return True
+        x = order[pos]
+        for y in range(b.n):
+            if y in image.values() or degrees(b, y) != degrees(a, x):
+                continue
+            if all(
+                a.leq(z, x) == b.leq(w, y) and a.leq(x, z) == b.leq(y, w)
+                for z, w in image.items()
+            ):
+                image[x] = y
+                if extend(pos + 1):
+                    return True
+                del image[x]
+        return False
+
+    return extend(0)
+
+
+def fixture_carriers():
+    """The distributive fixture carriers whose antitone tables can be
+    listed (BOOL4 has too many)."""
+    fixtures = [lattice_fixture(name) for name in lattice_fixture_names()]
+    return [lat for lat in fixtures if lat.n <= 8 and analyze(lat).distributive]
+
+
+class TestClassGenerators:
+    def test_each_generator_gives_exactly_its_class(self):
+        # the full enumeration filtered by the flag is the oracle
+        sweep = list(small_coframes(7))
+        totals = Counter()
+        for lat in sweep + fixture_carriers():
+            everything = [ConvergenceStructure(lat, t) for t in enumerate_antitone_tables(lat)]
+            for name in ("topological", "pretopological"):
+                generated = [cs.limtab for cs in _candidates((name,), lat)]
+                expected = {cs.limtab for cs in everything if ClassFlags(cs)[name]}
+                assert len(generated) == len(set(generated)), (lat, name)
+                assert set(generated) == expected, (lat, name)
+                if lat in sweep:
+                    totals[name] += len(generated)
+        assert totals == {"pretopological": 5409, "topological": 27}
+
+    def test_named_flags_pick_the_generator(self):
+        lat = lattice_fixture("V5")
+        pretop = set(enumerate_antitone_tables(lat, pretopological=True))
+        for antecedent in (("pretopological",), ("limit", "strict"), ("centered", "pretopological")):
+            assert {cs.limtab for cs in _candidates(antecedent, lat)} == pretop
+        everything = set(enumerate_antitone_tables(lat))
+        for antecedent in (("centered",), ("strict",), ("limit",)):
+            assert {cs.limtab for cs in _candidates(antecedent, lat)} == everything
+        topological = {cs.limtab for cs in _candidates(("pretopological", "topological"), lat)}
+        assert topological == {cs.limtab for cs in _candidates(("topological",), lat)}
+        assert topological < pretop
+
+    def test_pretopological_tables_are_antitone_on_any_carrier(self):
+        # on a non-distributive carrier the fixed values still keep the order
+        for name in ("M3", "N5"):
+            lat = lattice_fixture(name)
+            for tab in enumerate_antitone_tables(lat, pretopological=True):
+                assert all(
+                    lat.leq(tab[y], tab[x])
+                    for x in range(lat.n)
+                    for y in range(lat.n)
+                    if lat.leq(x, y)
+                ), (name, tab)
+
+    def test_random_draws_stay_in_their_class(self):
+        rng = random.Random(7)
+        for lat in list(small_coframes(7)) + fixture_carriers():
+            for _ in range(5):
+                cs = _random_candidate(("pretopological",), rng, lat)
+                assert ClassFlags(cs)["pretopological"], (lat, cs)
+            cs = _random_candidate(("topological",), rng, lat)
+            assert ClassFlags(cs)["topological"], (lat, cs)
 
 
 class TestSearch:
@@ -166,6 +295,10 @@ class TestSearch:
         ],
     )
     def test_true_implications_are_exhausted(self, true_conjecture):
+        # the antecedent's class on the 5 carriers up to 4 elements: 8
+        # topologies (4 on the square), and 45 pretopological tables
+        # (1 + 2 + 6 + 20 on the chains, 16 on the square)
+        swept = 8 if true_conjecture.startswith("topological") else 45
         result = search_counterexample(
             parse_conjecture(true_conjecture), max_lattice=4, budget=50
         )
@@ -173,7 +306,8 @@ class TestSearch:
         assert result.counterexample is None
         assert result.witness_document() is None
         assert result.lattices_tested == 5
-        assert result.structures_tested > 100
+        # the fixture corpus, the class sweep, then the random budget
+        assert result.structures_tested == len(convergence_fixture_names()) + swept + 50
 
     def test_witness_document_is_recheckable(self):
         conjecture = parse_conjecture("centered & pretopological => topological")

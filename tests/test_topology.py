@@ -240,7 +240,7 @@ class TestModification:
             for lat in small_coframes(6)
             for t in enumerate_antitone_tables(lat)
         ]
-        assert len(corpus) == 3893
+        assert len(corpus) == 2893
         corpus += [convergence_fixture(name) for name in convergence_fixture_names()]
         hits = 0
         for cs in corpus:
