@@ -152,3 +152,11 @@ from .search import (
 )
 
 __version__ = "0.1.0"
+
+from types import ModuleType as _ModuleType
+
+# The compatibility surface: every name re-exported above, without modules.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

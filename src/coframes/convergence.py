@@ -18,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import AxiomViolation, IterationBound, NotDistributive
+from .errors import AxiomViolation, IterationBound
 from .filters import Filter, _preimage_generator
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
+    _trusted,
     bits,
     derived,
+    require_distributive,
     require_morphism,
     require_same_carrier,
 )
@@ -51,8 +53,10 @@ __all__ = [
 class ConvergenceStructure:
     """An antitone limit table on a finite distributive lattice.
 
-    Validated eagerly: the carrier must be distributive and the table
-    antitone.  Instances are immutable; compare tables, not objects.
+    Validated on construction: the carrier must be distributive and the
+    table antitone (producers of antitone tables, such as ``s1``, use the
+    trusted constructor ``lattice._trusted``).  Instances are immutable;
+    compare tables, not objects.
     """
 
     lattice: FiniteLattice
@@ -63,10 +67,7 @@ class ConvergenceStructure:
         tab = self.limtab
         if len(tab) != len(lat.elements) or min(tab) < 0 or max(tab) >= len(tab):
             raise AxiomViolation("convergence.table", "table does not match carrier")
-        if not lat.report.distributive:
-            raise NotDistributive(
-                f"{lat.name}: convergence structures live on distributive lattices"
-            )
+        require_distributive(lat, "convergence structures")
         # antitone iff antitone along every cover pair a -< x
         up = lat.up
         for x, lows in enumerate(lat.covers):
@@ -326,8 +327,8 @@ def s1(cs: ConvergenceStructure, kind: str) -> ConvergenceStructure:
       and elsewhere the infimum of the new limits at two lower covers
       (``FiniteLattice.splits``, in rank order): O(n) meets.
 
-    The result is pointwise above the input and antitone; iterating reaches
-    the least fixed point (see :func:`s_infinity`).
+    The result is pointwise above the input and antitone (a trusted build);
+    iterating reaches the least fixed point (see :func:`s_infinity`).
     """
     lat, tab = cs.lattice, cs.limtab
     n = lat.n
@@ -338,17 +339,17 @@ def s1(cs: ConvergenceStructure, kind: str) -> ConvergenceStructure:
             meet = lat.meet
             for x, a, b in lat.splits:
                 new[x] = meet(new[a], new[b])
-        return ConvergenceStructure(lat, tuple(new))
+        return _trusted(ConvergenceStructure, lattice=lat, limtab=tuple(new))
     if kind == "limit":
         contrib = [lat.bottom] * n
         for g in range(n):
             for h in range(g, n):
                 j = lat.join(g, h)
                 contrib[j] = lat.join(contrib[j], lat.meet(tab[g], tab[h]))
-        new = [
+        new = tuple(
             lat.join_of(contrib[j] for j in bits(lat.up[f])) for f in range(n)
-        ]
-        return ConvergenceStructure(lat, tuple(new))
+        )
+        return _trusted(ConvergenceStructure, lattice=lat, limtab=new)
     raise ValueError(f"unknown completion kind {kind!r}; expected one of {S1_KINDS}")
 
 

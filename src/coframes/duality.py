@@ -9,7 +9,9 @@ adjunction whose unit ``eta`` is an isomorphism on finite spaces and whose
 counit ``epsilon`` sends a lattice element to its set of points.  The
 module also hosts the space-level modifications, the equivalence between
 pretopological spaces and closure ("adherence") spaces, and the point
-spaces of adherence and topological structures.
+spaces of adherence and topological structures.  The space classes
+validate themselves on construction; producers of valid tables use the
+trusted constructor ``lattice._trusted``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .filters import Filter
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
+    _trusted,
     analyze,
     bits,
     left_adjoint,
@@ -224,7 +227,8 @@ def space_lattice(space: FiniteConvergenceSpace) -> FiniteLattice:
 def P_space(space: FiniteConvergenceSpace) -> ConvergenceStructure:
     """Read a space as a convergence structure on its powerset lattice: a
     principal filter converges to the set of its limit points."""
-    return ConvergenceStructure(space_lattice(space), space.limtab)
+    lat = space_lattice(space)
+    return _trusted(ConvergenceStructure, lattice=lat, limtab=space.limtab)
 
 
 def P_map(f: SpaceMap) -> LatticeMorphism:
@@ -268,7 +272,8 @@ def kow(cs: ConvergenceStructure, point_filter: Filter) -> Filter:
         raise LatticeMismatch(
             "filter must live on the powerset of the structure's points"
         )
-    return Filter(lat, lat.join_of(pts[i] for i in bits(point_filter.generator)))
+    gen = lat.join_of(pts[i] for i in bits(point_filter.generator))
+    return _trusted(Filter, lattice=lat, generator=gen)
 
 
 def pt_space(cs: ConvergenceStructure) -> FiniteConvergenceSpace:
@@ -289,7 +294,8 @@ def pt_space(cs: ConvergenceStructure) -> FiniteConvergenceSpace:
         low = a & -a
         gens[a] = gen = lat.join(gens[a ^ low], pts[low.bit_length() - 1])
         limtab.append(point_sets[tab[gen]])
-    return FiniteConvergenceSpace(tuple(lat.label(p) for p in pts), tuple(limtab))
+    labels = tuple(lat.label(p) for p in pts)
+    return _trusted(FiniteConvergenceSpace, points=labels, limtab=tuple(limtab))
 
 
 def eta(space: FiniteConvergenceSpace) -> SpaceMap:
@@ -389,7 +395,7 @@ def modify_space(
         out = topological_modification(cs)
     else:
         raise ValueError(f"unknown modification kind {kind!r}")
-    return FiniteConvergenceSpace(space.points, out.limtab)
+    return _trusted(FiniteConvergenceSpace, points=space.points, limtab=out.limtab)
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,14 +447,15 @@ def to_adherence(space: FiniteConvergenceSpace) -> FiniteAdherenceSpace:
             "only pretopological spaces carry an equivalent closure space"
         )
     ns = adh_structure_of(P_space(space))
-    return FiniteAdherenceSpace(space.points, ns.nutab)
+    return _trusted(FiniteAdherenceSpace, points=space.points, adhtab=ns.nutab)
 
 
 def to_pretop(adh_space: FiniteAdherenceSpace) -> FiniteConvergenceSpace:
     """The pretopological space of a closure space: a filter converges to
-    the points in the closure of everything it meshes."""
+    the points in the closure of everything it meshes.  The space is
+    validated: a closure that is not expansive breaks the point axiom."""
     plat = powerset_lattice(adh_space.points)
-    ns = AdherenceStructure(plat, adh_space.adhtab)
+    ns = _trusted(AdherenceStructure, lattice=plat, nutab=adh_space.adhtab)
     cs = lim_of_nu(ns)
     return FiniteConvergenceSpace(adh_space.points, cs.limtab)
 
@@ -491,7 +498,7 @@ def pt_adh(ns: AdherenceStructure) -> FiniteAdherenceSpace:
             if lat.leq(p, closure):
                 mask |= 1 << i
         adhtab.append(mask)
-    return FiniteAdherenceSpace(labels, tuple(adhtab))
+    return _trusted(FiniteAdherenceSpace, points=labels, adhtab=tuple(adhtab))
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,7 +549,7 @@ def pt_top(ts: TopologicalStructure) -> FiniteTopologicalSpace:
             if lat.leq(p, c):
                 mask |= 1 << i
         family.add(mask)
-    return FiniteTopologicalSpace(labels, tuple(sorted(family)))
+    return _trusted(FiniteTopologicalSpace, points=labels, closed=tuple(sorted(family)))
 
 
 def top_space_convergence(tsp: FiniteTopologicalSpace) -> FiniteConvergenceSpace:
@@ -561,7 +568,7 @@ def top_space_convergence(tsp: FiniteTopologicalSpace) -> FiniteConvergenceSpace
             if c & a:
                 lim &= c
         out.append(lim)
-    return FiniteConvergenceSpace(tsp.points, tuple(out))
+    return _trusted(FiniteConvergenceSpace, points=tsp.points, limtab=tuple(out))
 
 
 def enumerate_spaces(labels: Sequence[str]) -> Iterator[FiniteConvergenceSpace]:

@@ -47,7 +47,6 @@ __all__ = [
     "random_antitone_table",
     "random_convergence_structure",
     "enumerate_antitone_tables",
-    "count_antitone_tables",
 ]
 
 
@@ -420,7 +419,3 @@ def enumerate_antitone_tables(
             yield from rec(pos + 1)
 
     yield from rec(0)
-
-
-def count_antitone_tables(lattice: FiniteLattice) -> int:
-    return sum(1 for _ in enumerate_antitone_tables(lattice))

@@ -4,8 +4,10 @@ Each suite re-checks a family of identities the library relies on and
 reports violations with complete, re-checkable witness documents.  A law
 evaluation that raises is itself reported as a violation — a green suite
 means every law was actually evaluated and held.  ``inject_fault=True``
-deliberately smuggles a corrupted structure into the corpus (bypassing
-constructor validation) to prove the suite is capable of failing.
+deliberately smuggles a corrupted member into the corpus to prove the suite
+is capable of failing: a non-distributive carrier, or a structure built by
+the trusted constructor ``lattice._trusted`` past the validation that every
+value class runs on construction (see :func:`_injected`).
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from typing import Any, Callable, Iterable
 from .adherence import (
     AdherenceStructure,
     adh_structure_of,
+    adherence_from_atom_values,
     adherence_violation,
     closed_sets,
+    complemented_atoms,
     lim_of_nu,
     random_adherence_structure,
 )
@@ -33,6 +37,7 @@ from .convergence import (
 )
 from .documents import structure_to_doc
 from .duality import (
+    FiniteConvergenceSpace,
     P_map,
     all_point_maps,
     bullet,
@@ -71,6 +76,7 @@ from .fixtures import (
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
+    _trusted,
     analyze,
     bits,
     dualize,
@@ -133,18 +139,38 @@ class SuiteReport:
             self.violations.append(Violation(self.suite, law, message, witness))
 
 
-def _forge(cls, **fields):
-    """Build an instance without running validation (fault injection only)."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+def _injected(suite: str) -> tuple[str, Any]:
+    """The origin and the corrupted member that a structure suite adds to its
+    corpus under ``inject_fault``; each breaks an axiom of its class, so it
+    is built past validation (the test suite checks that it would fail)."""
+    chain3 = lattice_fixture("CHAIN3")
+    if suite == "convergence":
+        # non-antitone table whose joins strictly dominate the limit infima:
+        # a completion fixed point that the classifier rejects
+        return "injected-non-antitone", _trusted(
+            ConvergenceStructure, lattice=chain3, limtab=(0, 0, 2)
+        )
+    if suite == "galois-adh":
+        return "injected-non-monotone", _trusted(
+            AdherenceStructure, lattice=chain3, nutab=(0, 2, 1)
+        )
+    if suite == "topology":
+        lat = lattice_fixture("BOOL3")
+        mask = sum(1 << lat.index(s) for s in ("{}", "{1,2}", "{2,3}", "{1,2,3}"))
+        return "injected-non-meet-closed", _trusted(
+            TopologicalStructure, lattice=lat, closed=mask
+        )
+    if suite == "kow":
+        return "injected-point-axiom", _trusted(
+            FiniteConvergenceSpace, points=("a", "b"), limtab=(0b11, 0b10, 0b10, 0b10)
+        )
+    raise ConjectureError(f"suite {suite!r} injects no structure")
 
 
 def _doc(obj: Any) -> dict[str, Any]:
     try:
         return structure_to_doc(obj)
-    except Exception:  # forged objects may not serialize cleanly
+    except Exception:  # injected objects may not serialize cleanly
         return {"unserializable": repr(obj)}
 
 
@@ -363,12 +389,7 @@ def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteRe
     rep = SuiteReport("convergence")
     corpus = _convergence_corpus(rng, budget)
     if inject:
-        # non-antitone table whose joins strictly dominate the limit infima:
-        # a completion fixed point that the classifier rejects
-        lat = lattice_fixture("CHAIN3")
-        corpus.append(
-            ("injected-non-antitone", _forge(ConvergenceStructure, lattice=lat, limtab=(0, 0, 2)))
-        )
+        corpus.append(_injected("convergence"))
     for origin, cs in corpus:
         witness = {"origin": origin, "structure": _doc(cs)}
         lat = cs.lattice
@@ -422,10 +443,7 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
         lat = random_downset_lattice(rng, max_elements=8)
         adh_corpus.append((f"random-nu-{i}", random_adherence_structure(rng, lat)))
     if inject:
-        lat = lattice_fixture("CHAIN3")
-        adh_corpus.append(
-            ("injected-non-monotone", _forge(AdherenceStructure, lattice=lat, nutab=(0, 2, 1)))
-        )
+        adh_corpus.append(_injected("galois-adh"))
     for origin, ns in adh_corpus:
         witness = {"origin": origin, "structure": _doc(ns)}
 
@@ -471,7 +489,11 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
         lat = random_downset_lattice(rng, max_elements=6)
         a = random_adherence_structure(rng, lat)
         b = random_adherence_structure(rng, lat)
-        lo = AdherenceStructure(lat, tuple(lat.meet(x, y) for x, y in zip(a.nutab, b.nutab)))
+        # the pointwise meet of two adherences need not be additive; its
+        # values at the complemented atoms give one below ``a``
+        lo = adherence_from_atom_values(
+            lat, [lat.meet(a.nutab[t], b.nutab[t]) for t in complemented_atoms(lat)]
+        )
         witness = {
             "origin": f"monotone-pair-{i}",
             "smaller": _doc(lo),
@@ -503,19 +525,7 @@ def _suite_topology(rng: random.Random, budget: int, inject: bool) -> SuiteRepor
         for i, ts in enumerate(enumerate_topologies(lat)):
             corpus.append((f"{lat_name}-topology-{i}", ts))
     if inject:
-        lat = lattice_fixture("BOOL3")
-        mask = (
-            (1 << lat.bottom)
-            | (1 << lat.index("{1,2}"))
-            | (1 << lat.index("{2,3}"))
-            | (1 << lat.top)
-        )
-        corpus.append(
-            (
-                "injected-non-meet-closed",
-                _forge(TopologicalStructure, lattice=lat, closed=mask),
-            )
-        )
+        corpus.append(_injected("topology"))
     for origin, ts in corpus:
         witness = {"origin": origin, "structure": _doc(ts)}
         lat = ts.lattice
@@ -575,18 +585,7 @@ def _suite_kow(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     rep = SuiteReport("kow")
     spaces = [(name, space_fixture(name)) for name in space_fixture_names()]
     if inject:
-        from .duality import FiniteConvergenceSpace
-
-        spaces.append(
-            (
-                "injected-point-axiom",
-                _forge(
-                    FiniteConvergenceSpace,
-                    points=("a", "b"),
-                    limtab=(0b11, 0b10, 0b10, 0b10),
-                ),
-            )
-        )
+        spaces.append(_injected("kow"))
     for origin, sp in spaces:
         witness = {"origin": origin, "structure": _doc(sp)}
         rep._law(

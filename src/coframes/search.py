@@ -38,7 +38,7 @@ from .fixtures import (
     random_antitone_table,
     random_downset_lattice,
 )
-from .lattice import FiniteLattice, FinitePoset, bits, downset_lattice
+from .lattice import FiniteLattice, FinitePoset, _trusted, bits, downset_lattice
 from .topology import enumerate_topologies, lim_of_C
 
 __all__ = [
@@ -247,7 +247,7 @@ def _candidates(
     tables = enumerate_antitone_tables(
         lat, pretopological=_names_pretopological(antecedent)
     )
-    return (ConvergenceStructure(lat, tab) for tab in tables)
+    return (_trusted(ConvergenceStructure, lattice=lat, limtab=tab) for tab in tables)
 
 
 def _random_candidate(
@@ -256,12 +256,8 @@ def _random_candidate(
     """One seeded draw from the class of :func:`_candidates`."""
     if "topological" in antecedent:
         return lim_of_C(rng.choice(list(enumerate_topologies(lat))))
-    return ConvergenceStructure(
-        lat,
-        random_antitone_table(
-            rng, lat, pretopological=_names_pretopological(antecedent)
-        ),
-    )
+    tab = random_antitone_table(rng, lat, pretopological=_names_pretopological(antecedent))
+    return _trusted(ConvergenceStructure, lattice=lat, limtab=tab)
 
 
 # ---------------------------------------------------------------------------

@@ -24,20 +24,21 @@ from .convergence import ConvergenceStructure
 from .errors import (
     AxiomViolation,
     BudgetExceeded,
-    NotASublattice,
     NotComplemented,
     NotDistributive,
     StarFormulaMismatch,
 )
-from .filters import _nonzero_meet_rows
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
+    _trusted,
     analyze,
     bits,
     dualize,
     morphism_violation,
+    require_distributive,
     require_morphism,
+    require_sublattice,
     require_same_carrier,
     sublattice,
 )
@@ -67,12 +68,29 @@ __all__ = [
 class TopologicalStructure:
     """A set of closed elements: complemented, both bounds, meet/join closed.
 
-    ``closed`` is a bitmask over carrier indices.  Build through
-    :func:`topological_structure`.
+    ``closed`` is a bitmask over carrier indices, validated on construction
+    (producers of valid masks, such as :func:`C_of_nu`, use the trusted
+    constructor ``lattice._trusted``).
     """
 
     lattice: FiniteLattice
     closed: int
+
+    def __post_init__(self) -> None:
+        lattice, mask = self.lattice, self.closed
+        require_distributive(lattice, "topological structures")
+        if mask >> lattice.n:
+            raise AxiomViolation("topology.members", "closed mask out of range")
+        comp = analyze(lattice).complemented
+        for m in bits(mask & ~comp):
+            raise NotComplemented(
+                f"closed element {lattice.label(m)!r} has no complement"
+            )
+        if not mask >> lattice.bottom & 1 or not mask >> lattice.top & 1:
+            raise AxiomViolation(
+                "topology.bounds", "closed elements must include both bounds"
+            )
+        require_sublattice(lattice, list(bits(mask)))
 
     def closed_list(self) -> list[int]:
         return list(bits(self.closed))
@@ -85,74 +103,53 @@ class TopologicalStructure:
 def topological_structure(
     lattice: FiniteLattice, members: Iterable[int]
 ) -> TopologicalStructure:
-    """Validating constructor for a topological structure."""
-    if not analyze(lattice).distributive:
-        raise NotDistributive(
-            f"{lattice.name}: topological structures live on distributive lattices"
-        )
+    """The structure with the given closed members; raises as
+    :class:`TopologicalStructure` does on a bad family."""
     mask = 0
     for m in members:
         if not 0 <= m < lattice.n:
             raise AxiomViolation("topology.members", f"index {m} out of range")
         mask |= 1 << m
-    comp = analyze(lattice).complemented
-    for m in bits(mask & ~comp):
-        raise NotComplemented(
-            f"closed element {lattice.label(m)!r} has no complement"
-        )
-    if not mask >> lattice.bottom & 1 or not mask >> lattice.top & 1:
-        raise AxiomViolation(
-            "topology.bounds", "closed elements must include both bounds"
-        )
-    elems = list(bits(mask))
-    for a in elems:
-        for b in elems:
-            for op, word in ((lattice.meet, "meet"), (lattice.join, "join")):
-                r = op(a, b)
-                if not mask >> r & 1:
-                    raise NotASublattice(
-                        f"{word} of closed {lattice.label(a)!r} and "
-                        f"{lattice.label(b)!r} is {lattice.label(r)!r}, not closed"
-                    )
     return TopologicalStructure(lattice, mask)
 
 
 def nu_of_C(ts: TopologicalStructure) -> AdherenceStructure:
     """The adherence structure of a topological structure: each element's
     adherence is the infimum of the closed elements above it.  The axioms
-    hold by construction, so the table is not validated here; the test suite
-    checks it on every topology of the small carriers."""
+    hold by construction, so it is built by ``lattice._trusted``."""
     lat = ts.lattice
     tab = tuple(
         lat.meet_of(c for c in bits(lat.up[l] & ts.closed)) for l in range(lat.n)
     )
-    return AdherenceStructure(lat, tab)
+    return _trusted(AdherenceStructure, lattice=lat, nutab=tab)
 
 
 def C_of_nu(ns: AdherenceStructure) -> TopologicalStructure:
     """The topological structure of an adherence structure: complemented
-    elements fixed (from above) by their adherence."""
+    elements fixed (from above) by their adherence: both bounds, closed
+    under joins by additivity and under meets by monotonicity."""
     lat = ns.lattice
     comp = analyze(lat).complemented
-    members = [l for l in bits(comp) if lat.leq(ns.nutab[l], l)]
-    return topological_structure(lat, members)
+    mask = sum(1 << l for l in bits(comp) if lat.leq(ns.nutab[l], l))
+    return _trusted(TopologicalStructure, lattice=lat, closed=mask)
 
 
 def lim_of_C(ts: TopologicalStructure) -> ConvergenceStructure:
     """The convergence structure of a topological structure: a filter
     converges to the infimum of the closed elements it meshes."""
     lat = ts.lattice
-    rows = _nonzero_meet_rows(lat)
+    rows = lat.nonzero_meet_rows
     tab = tuple(
         lat.meet_of(c for c in bits(rows[g] & ts.closed)) for g in range(lat.n)
     )
-    return ConvergenceStructure(lat, tab)
+    return _trusted(ConvergenceStructure, lattice=lat, limtab=tab)
 
 
 def topological_modification(cs: ConvergenceStructure) -> ConvergenceStructure:
     """The finest topological convergence structure coarser than the input:
     induced by the input's closed elements."""
-    return lim_of_C(topological_structure(cs.lattice, cs.closed))
+    closed = sum(1 << c for c in cs.closed)
+    return lim_of_C(_trusted(TopologicalStructure, lattice=cs.lattice, closed=closed))
 
 
 def is_topological(cs: ConvergenceStructure) -> bool:
@@ -163,7 +160,7 @@ def is_topological(cs: ConvergenceStructure) -> bool:
     # the improper filter meshes nothing, so it must converge to top
     if tab[lat.bottom] != lat.top:
         return False
-    rows = _nonzero_meet_rows(lat)
+    rows = lat.nonzero_meet_rows
     closed = sum(1 << c for c in cs.closed)
     return all(
         tab[g] == lat.meet_of(bits(rows[g] & closed)) for g in range(lat.n)
@@ -194,6 +191,7 @@ def enumerate_topologies(
 ) -> Iterable[TopologicalStructure]:
     """All topological structures on the carrier, coarsest (just the bounds)
     first by member count."""
+    require_distributive(lattice, "topological structures")
     comp = analyze(lattice).complemented
     optional = [
         c for c in bits(comp) if c != lattice.bottom and c != lattice.top
@@ -216,7 +214,7 @@ def enumerate_topologies(
         ):
             found.append(mask)
     for mask in sorted(found, key=lambda m: (m.bit_count(), m)):
-        yield TopologicalStructure(lattice, mask)
+        yield _trusted(TopologicalStructure, lattice=lattice, closed=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +273,8 @@ def sublocale_lattice(omega: FiniteLattice) -> SublocaleLattice:
     collection is closed under intersection, so it forms a lattice under
     inclusion; meets are intersections, joins are least upper bounds.  Each
     open part is a sublocale complementing its closed part, and the closed
-    embedding is injective; the test suite checks these on every frame
-    fixture within the budget.
+    embedding is an injective coframe morphism; the test suite checks these
+    on every frame fixture within the budget.
     """
     if not analyze(omega).distributive:
         raise NotDistributive(f"{omega.name}: sublocales need a distributive frame")
@@ -349,7 +347,6 @@ def sublocale_lattice(omega: FiniteLattice) -> SublocaleLattice:
         values=closed_index,
         kind="coframe",
     )
-    require_morphism(embedding)
     return SublocaleLattice(
         frame=omega,
         lattice=lat,
@@ -364,28 +361,18 @@ def wedge_C(ts: TopologicalStructure) -> tuple[FiniteLattice, list[int]]:
     """The closure of the closed elements under all infima of the carrier,
     as a sublattice (with the index map into the carrier).
 
-    On a finite carrier the closed elements are already closed under all
-    infima (finite meets generate them), so this returns the closed part
-    itself; the closure is still computed rather than assumed.
+    On a finite carrier every infimum is a finite meet, and the closed
+    elements are meet-closed (validated on construction), so this is the
+    closed part itself.
     """
     lat = ts.lattice
-    members = set(bits(ts.closed))
-    changed = True
-    while changed:
-        changed = False
-        for a in list(members):
-            for b in list(members):
-                m = lat.meet(a, b)
-                if m not in members:
-                    members.add(m)
-                    changed = True
-    return sublattice(lat, members, name=f"Wedge({lat.name})")
+    return sublattice(lat, bits(ts.closed), name=f"Wedge({lat.name})")
 
 
 def is_strong(ts: TopologicalStructure) -> bool:
     """Whether the closed elements are closed under all infima of the
-    carrier.  True for every finite carrier (finite meets reach every
-    infimum); computed honestly rather than hard-coded."""
+    carrier: the elements of :func:`wedge_C` are exactly the closed ones.
+    True for every topological structure on a finite carrier."""
     _, mapping = wedge_C(ts)
     return set(mapping) == set(bits(ts.closed))
 

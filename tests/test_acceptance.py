@@ -69,7 +69,6 @@ from coframes import (
     wedge_C,
     dualize,
 )
-from coframes.adherence import adh0_table
 from coframes.convergence import S1_KINDS
 from coframes.filters import bits, enumerate_filter_masks, enumerate_upset_masks
 from coframes.laws import star_extension_unique
@@ -202,7 +201,7 @@ def test_criterion_03_sierpinski_ground_truth():
     # the documented rule: everything when the filter contains {1}, else {0}
     expected = tuple(both if lat.leq(g, one) else zero for g in range(lat.n))
     assert cs.limtab == expected
-    raw = adh0_table(cs)
+    raw = cs.adh0
     want = {"{}": "{}", "{0}": "{0}", "{1}": "{0,1}", "{0,1}": "{0,1}"}
     assert {lat.label(l): lat.label(raw[l]) for l in range(lat.n)} == want
     report = closed_sets(cs)

@@ -25,7 +25,6 @@ from coframes import (
     lim_of_nu,
     random_adherence_structure,
 )
-from coframes.adherence import adh0_table, adh_table
 from coframes.fixtures import (
     adherence_fixture,
     chaotic_structure,
@@ -104,6 +103,64 @@ class TestValidation:
         violation = adherence_violation(lat, tuple(tab))
         assert violation is not None and violation[0] == "adherence.additive"
 
+    def test_atom_additivity_check_equals_the_complemented_pair_scan(self):
+        # pointwise meets of two adherences are monotone, grounded and
+        # infimum-determined, and often not additive: the pair scan over the
+        # complemented part is the oracle, and a reported pair must fail it
+        carriers = small_carriers(8)
+        rng = random.Random(5)
+        broken = 0
+        for lat in carriers:
+            structures = list(itertools.islice(enumerate_adherence_structures(lat, budget=10**9), 40))
+            structures += [random_adherence_structure(rng, lat) for _ in range(20)]
+            comp = list(bits(analyze(lat).complemented))
+            label = {lat.label(c): c for c in comp}
+            for a, b in itertools.product(structures[::3], structures[1::3]):
+                tab = tuple(lat.meet(x, y) for x, y in zip(a.nutab, b.nutab))
+                failing = [
+                    (x, y) for x in comp for y in comp
+                    if tab[lat.join(x, y)] != lat.join(tab[x], tab[y])
+                ]
+                violation = adherence_violation(lat, tab)
+                assert (violation is None) == (not failing), (lat, tab)
+                if failing:
+                    broken += 1
+                    assert violation[0] == "adherence.additive"
+                    x, y = (label[s] for s in violation[1].split("'")[1:4:2])
+                    assert (x, y) in failing, (lat, tab, violation)
+        assert broken > 100
+
+    def test_infimum_check_equals_the_meet_over_complemented_elements_above(self):
+        # the validator reads the value at the least complemented element
+        # above; the definition takes the meet over all of them.  Tables are
+        # every self-map up to 5 elements, and up to 8 elements every valid
+        # table changed at one element that is not complemented.
+        def tables(lat):
+            if lat.n <= 5:
+                yield from itertools.product(range(lat.n), repeat=lat.n)
+                return
+            comp = analyze(lat).complemented
+            for ns in itertools.islice(enumerate_adherence_structures(lat, budget=10**9), 30):
+                for l in range(lat.n):
+                    if not comp >> l & 1:
+                        for v in range(lat.n):
+                            yield ns.nutab[:l] + (v,) + ns.nutab[l + 1:]
+
+        checked = 0
+        for lat in small_carriers(8):
+            comp = analyze(lat).complemented
+            for tab in tables(lat):
+                violation = adherence_violation(lat, tab)
+                if violation is not None and violation[0] != "adherence.infimum":
+                    continue
+                literal = all(
+                    tab[l] == lat.meet_of(tab[c] for c in bits(lat.up[l] & comp))
+                    for l in range(lat.n)
+                )
+                assert (violation is None) == literal, (lat, tab)
+                checked += not literal
+        assert checked > 100
+
     def test_infimum_determination_witness(self):
         # V5's only complemented elements are the bounds, so interior values
         # are forced to the top value
@@ -165,7 +222,7 @@ class TestAdherenceOfConvergence:
     def test_sierpinski_raw_table(self):
         cs = convergence_fixture("SIERP_LIM")
         lat = cs.lattice
-        raw = adh0_table(cs)
+        raw = cs.adh0
         assert labels(lat, raw) == ["{}", "{0}", "{0,1}", "{0,1}"]
 
     def test_raw_of_bottom_is_bottom(self):
@@ -174,7 +231,7 @@ class TestAdherenceOfConvergence:
             lat = lattice_fixture(name)
             for _ in range(10):
                 cs = random_convergence_structure(rng, lat)
-                assert adh0_table(cs)[lat.bottom] == lat.bottom
+                assert cs.adh0[lat.bottom] == lat.bottom
 
     def test_corrected_dominates_raw_and_agrees_on_complemented(self):
         rng = random.Random(13)
@@ -183,7 +240,7 @@ class TestAdherenceOfConvergence:
             comp = analyze(lat).complemented
             for _ in range(15):
                 cs = random_convergence_structure(rng, lat)
-                raw, corrected = adh0_table(cs), adh_table(cs)
+                raw, corrected = cs.adh0, cs.adh
                 for l in range(lat.n):
                     assert lat.leq(raw[l], corrected[l])
                     if comp >> l & 1:
@@ -195,7 +252,7 @@ class TestAdherenceOfConvergence:
         rng = random.Random(4)
         for _ in range(10):
             cs = random_convergence_structure(rng, lat)
-            assert adh_table(cs)[lat.index("m")] == adh0_table(cs)[lat.top]
+            assert cs.adh[lat.index("m")] == cs.adh0[lat.top]
 
     def test_adh_structure_of_sierpinski_is_its_closure(self):
         got = adh_structure_of(convergence_fixture("SIERP_LIM"))
@@ -250,7 +307,7 @@ class TestClosedSets:
             for tab in enumerate_antitone_tables(lat):
                 cs = ConvergenceStructure(lat, tab)
                 corrected = tuple(
-                    l for l in bits(comp) if lat.leq(adh_table(cs)[l], l)
+                    l for l in bits(comp) if lat.leq(cs.adh[l], l)
                 )
                 assert closed_sets(cs).closed == corrected, cs
 
@@ -338,7 +395,7 @@ class TestGaloisLaws:
         for a in structures:
             for b in structures:
                 if all(lat.leq(x, y) for x, y in zip(a.limtab, b.limtab)):
-                    na, nb = adh_table(a), adh_table(b)
+                    na, nb = a.adh, b.adh
                     assert all(lat.leq(x, y) for x, y in zip(na, nb))
 
     def test_unit_and_counit_inequalities(self):
@@ -447,8 +504,8 @@ class TestContinuity:
                 if not check_continuity(phi, src, tgt).continuous:
                     continue
                 adj = left_adjoint(phi)
-                raw_s, raw_t = adh0_table(src), adh0_table(tgt)
-                cor_s, cor_t = adh_table(src), adh_table(tgt)
+                raw_s, raw_t = src.adh0, tgt.adh0
+                cor_s, cor_t = src.adh, tgt.adh
                 for l in range(lat.n):
                     assert lat.leq(adj.values[raw_t[l]], raw_s[adj.values[l]])
                     assert lat.leq(adj.values[cor_t[l]], cor_s[adj.values[l]])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coframes import AxiomViolation, LatticeMismatch, analyze, pseudocomplement
+from coframes import AxiomViolation, LatticeMismatch, NotAMorphism, analyze, pseudocomplement
 from coframes.filters import (
     Filter,
     UpSet,
@@ -250,6 +250,17 @@ class TestPreimages:
                 pre = preimage_filter(phi, f)
                 for l in range(phi.source.n):
                     assert (l in pre) == (phi.values[l] in f)
+
+    def test_preimages_need_a_morphism_of_their_kind(self):
+        # a filter preimage needs infima preserved, an up-set preimage order
+        c3, c2 = lattice_fixture("CHAIN3"), lattice_fixture("CHAIN2")
+        monotone = LatticeMorphism(c3, c2, (0, 0, 1), kind="monotone")
+        with pytest.raises(NotAMorphism):
+            preimage_filter(monotone, Filter(c2, 1))
+        assert preimage_upset(monotone, UpSet(c2, 0b10)).members == 0b100
+        shuffled = LatticeMorphism(c3, c2, (1, 0, 1), kind="monotone")
+        with pytest.raises(NotAMorphism):
+            preimage_upset(shuffled, UpSet(c2, 0b10))
 
     def test_image_of_complemented_commutes_with_grills(self):
         # complemented elements keep complements under lattice maps into a

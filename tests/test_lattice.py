@@ -33,7 +33,6 @@ from coframes import (
     s1,
     sublattice,
 )
-from coframes.filters import _nonzero_meet_rows
 from coframes.lattice import LatticeMorphism, bits
 from coframes.fixtures import (
     lattice_fixture,
@@ -438,7 +437,7 @@ class TestDerivedDataLifetime:
         # nothing module-global may keep a carrier (or its dual) alive
         lat = downset_lattice(poset_from_covers(("a", "b", "c"), [("a", "c")]))
         analyze(lat)
-        _nonzero_meet_rows(lat)
+        lat.nonzero_meet_rows
         op = dualize(lat)
         analyze(op)
         cs = ConvergenceStructure(lat, (lat.top,) + (lat.bottom,) * (lat.n - 1))
@@ -564,6 +563,27 @@ class TestMorphisms:
         bad = LatticeMorphism(b2, c2, (0, 1, 1, 1))
         with pytest.raises(NotAMorphism):
             left_adjoint(bad)
+        # a map declared only monotone need not preserve the meets it reads
+        monotone = LatticeMorphism(b2, c2, (0, 0, 0, 1), kind="monotone")
+        with pytest.raises(NotAMorphism):
+            left_adjoint(monotone)
+
+    def test_adjunction_holds_for_every_coframe_morphism(self):
+        # the adjunction is not re-checked when the adjoint is built
+        carriers = [lattice_fixture(n) for n in ("CHAIN2", "CHAIN3", "BOOL2", "V5", "CHAIN4")]
+        checked = 0
+        for src in carriers:
+            for tgt in carriers:
+                for values in itertools.product(range(tgt.n), repeat=src.n):
+                    phi = LatticeMorphism(src, tgt, values)
+                    if morphism_violation(phi) is not None:
+                        continue
+                    adj = left_adjoint(phi)
+                    for m in range(tgt.n):
+                        for l in range(src.n):
+                            assert src.leq(adj.values[m], l) == tgt.leq(m, values[l])
+                    checked += 1
+        assert checked > 20
 
     def test_adjunction_on_powerset_image(self):
         # preimage map of f: {x,y} -> {x} between powersets, and its adjoint
