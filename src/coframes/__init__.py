@@ -23,6 +23,8 @@ from .errors import (
     NotDistributive,
     NotPretopological,
     StarFormulaMismatch,
+    UnknownKind,
+    UnknownLabel,
 )
 from .lattice import (
     FiniteLattice,

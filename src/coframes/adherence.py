@@ -29,7 +29,6 @@ from .lattice import (
     bits,
     left_adjoint,
     require_distributive,
-    require_morphism,
     require_same_carrier,
 )
 
@@ -239,7 +238,6 @@ def check_adh_continuity(
     inverse image (computed through the left adjoint)."""
     require_same_carrier(phi.source, source.lattice, "continuity source")
     require_same_carrier(phi.target, target.lattice, "continuity target")
-    require_morphism(phi)
     adj = left_adjoint(phi)
     tgt = phi.target
     return all(
@@ -292,7 +290,6 @@ def final_lift_adh(
     for phi, ns in sink:
         require_same_carrier(phi.target, lattice, "final lift target")
         require_same_carrier(phi.source, ns.lattice, "final lift source")
-        require_morphism(phi)
         adjoints.append(left_adjoint(phi))
     comp_elems = list(bits(analyze(lattice).complemented))
     contrib = {

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import AxiomViolation, IterationBound
-from .filters import Filter, _preimage_generator
+from .errors import AxiomViolation, IterationBound, UnknownKind
+from .filters import Filter
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
@@ -27,7 +27,6 @@ from .lattice import (
     bits,
     derived,
     require_distributive,
-    require_morphism,
     require_same_carrier,
 )
 
@@ -282,18 +281,17 @@ def check_continuity(
 
     The map is continuous when every filter on the target converges below the
     image of the limit of its preimage filter, and final when equality holds
-    throughout.
+    throughout, reading the preimage filters off ``LatticeMorphism.adjoint``.
     """
     require_same_carrier(phi.source, source.lattice, "continuity source")
     require_same_carrier(phi.target, target.lattice, "continuity target")
-    require_morphism(phi)
-    src_lat, tgt_lat = phi.source, phi.target
+    tgt_lat, pre = phi.target, phi.adjoint.values
     continuous = True
     final = True
     witness: str | None = None
     for g in range(tgt_lat.n):
         lhs = target.limtab[g]
-        rhs = phi.values[source.limtab[_preimage_generator(phi, g)]]
+        rhs = phi.values[source.limtab[pre[g]]]
         if lhs != rhs:
             final = False
         if not tgt_lat.leq(lhs, rhs):
@@ -350,7 +348,7 @@ def s1(cs: ConvergenceStructure, kind: str) -> ConvergenceStructure:
             lat.join_of(contrib[j] for j in bits(lat.up[f])) for f in range(n)
         )
         return _trusted(ConvergenceStructure, lattice=lat, limtab=new)
-    raise ValueError(f"unknown completion kind {kind!r}; expected one of {S1_KINDS}")
+    raise UnknownKind(f"unknown completion kind {kind!r}; expected one of {S1_KINDS}")
 
 
 def s_infinity(cs: ConvergenceStructure, kind: str) -> ConvergenceStructure:
@@ -389,12 +387,11 @@ def final_lift(
     for phi, cs in sink:
         require_same_carrier(phi.target, lattice, "final lift target")
         require_same_carrier(phi.source, cs.lattice, "final lift source")
-        require_morphism(phi)
     tab = []
     for f in range(lattice.n):
         tab.append(
             lattice.meet_of(
-                phi.values[cs.limtab[_preimage_generator(phi, f)]]
+                phi.values[cs.limtab[phi.adjoint.values[f]]]
                 for phi, cs in sink
             )
         )

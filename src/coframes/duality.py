@@ -33,6 +33,8 @@ from .errors import (
     LatticeMismatch,
     NotAMorphism,
     NotPretopological,
+    UnknownKind,
+    UnknownLabel,
 )
 from .filters import Filter
 from .lattice import (
@@ -84,10 +86,13 @@ _SPACE_POINT_CAP = 12
 
 def _check_point_count(points: Sequence[str]) -> int:
     """The number of points, after checking it against the cap that every
-    space type shares (their tables and families are indexed by subsets)."""
+    space type shares (their tables and families are indexed by subsets),
+    and the point labels for being unique and non-empty."""
     k = len(points)
     if k > _SPACE_POINT_CAP:
         raise BudgetExceeded(f"space on {k} points (limit {_SPACE_POINT_CAP})")
+    if len(set(points)) != k or any(not p for p in points):
+        raise AxiomViolation("space.points", "point labels must be unique and non-empty")
     return k
 
 
@@ -106,10 +111,6 @@ class FiniteConvergenceSpace:
 
     def __post_init__(self) -> None:
         k = _check_point_count(self.points)
-        if len(set(self.points)) != k or any(not p for p in self.points):
-            raise AxiomViolation(
-                "space.points", "point labels must be unique and non-empty"
-            )
         if len(self.limtab) != 1 << k:
             raise AxiomViolation(
                 "space.table", f"expected {1 << k} limit entries"
@@ -145,7 +146,7 @@ class FiniteConvergenceSpace:
         try:
             return self.points.index(label)
         except ValueError:
-            raise KeyError(label) from None
+            raise UnknownLabel(label) from None
 
     def subset_label(self, mask: int) -> str:
         return subset_label(self.points, mask)
@@ -163,6 +164,16 @@ def convergence_space(
     return FiniteConvergenceSpace(tuple(points_), tuple(limtab))
 
 
+def _check_total(values: Sequence[int], k_source: int, k_target: int) -> None:
+    """Raise ``map.total`` unless ``values`` sends each of ``k_source``
+    points to one of ``k_target`` points."""
+    if len(values) != k_source:
+        raise AxiomViolation("map.total", "one value per source point")
+    for v in values:
+        if not 0 <= v < k_target:
+            raise AxiomViolation("map.total", f"target index {v} out of range")
+
+
 @dataclass(frozen=True, eq=False)
 class SpaceMap:
     """A function between the point sets of two spaces (``values[i]`` is the
@@ -174,11 +185,7 @@ class SpaceMap:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.source.n_points:
-            raise AxiomViolation("map.total", "one value per source point")
-        for v in self.values:
-            if not 0 <= v < self.target.n_points:
-                raise AxiomViolation("map.total", f"target index {v} out of range")
+        _check_total(self.values, self.source.n_points, self.target.n_points)
 
     def image_mask(self, mask: int) -> int:
         out = 0
@@ -237,7 +244,8 @@ def P_map(f: SpaceMap) -> LatticeMorphism:
     continuous structure map (the test suite checks both the morphism laws
     and this equivalence on every map between spaces of at most two
     points)."""
-    return LatticeMorphism(
+    return _trusted(
+        LatticeMorphism,
         source=space_lattice(f.target),
         target=space_lattice(f.source),
         values=tuple(
@@ -286,7 +294,8 @@ def pt_space(cs: ConvergenceStructure) -> FiniteConvergenceSpace:
     point by one more join."""
     lat, tab = cs.lattice, cs.limtab
     pts = cs.points
-    _check_point_count(pts)
+    labels = tuple(lat.label(p) for p in pts)
+    _check_point_count(labels)
     point_sets = [bullet(cs, l) for l in range(lat.n)]
     gens = [lat.bottom] * (1 << len(pts))
     limtab = [point_sets[tab[lat.bottom]]]
@@ -294,7 +303,6 @@ def pt_space(cs: ConvergenceStructure) -> FiniteConvergenceSpace:
         low = a & -a
         gens[a] = gen = lat.join(gens[a ^ low], pts[low.bit_length() - 1])
         limtab.append(point_sets[tab[gen]])
-    labels = tuple(lat.label(p) for p in pts)
     return _trusted(FiniteConvergenceSpace, points=labels, limtab=tuple(limtab))
 
 
@@ -314,7 +322,8 @@ def epsilon(cs: ConvergenceStructure) -> LatticeMorphism:
     morphism into the powerset lattice of the point space."""
     lat = cs.lattice
     labels = tuple(lat.label(p) for p in cs.points)
-    return LatticeMorphism(
+    return _trusted(
+        LatticeMorphism,
         source=lat,
         target=powerset_lattice(labels),
         values=tuple(bullet(cs, l) for l in range(lat.n)),
@@ -394,7 +403,7 @@ def modify_space(
     elif kind == "top":
         out = topological_modification(cs)
     else:
-        raise ValueError(f"unknown modification kind {kind!r}")
+        raise UnknownKind(f"unknown modification kind {kind!r}")
     return _trusted(FiniteConvergenceSpace, points=space.points, limtab=out.limtab)
 
 
@@ -466,6 +475,7 @@ def adherence_continuous(
     target: FiniteAdherenceSpace,
 ) -> bool:
     """Whether a point map sends closures into closures of images."""
+    _check_total(values, source.n_points, target.n_points)
     for a in range(1 << source.n_points):
         img_of_closure = 0
         for i in bits(source.adhtab[a]):
@@ -488,8 +498,8 @@ def pt_adh(ns: AdherenceStructure) -> FiniteAdherenceSpace:
     pts = [
         p for p in bits(analyze(lat).join_primes) if lat.leq(p, ns.nutab[p])
     ]
-    _check_point_count(pts)
     labels = tuple(lat.label(p) for p in pts)
+    _check_point_count(labels)
     adhtab = []
     for a in range(1 << len(pts)):
         closure = ns.nutab[lat.join_of(pts[i] for i in bits(a))]
@@ -539,8 +549,8 @@ def pt_top(ts: TopologicalStructure) -> FiniteTopologicalSpace:
     one closed subset per closed element."""
     lat = ts.lattice
     pts = list(bits(analyze(lat).join_primes))
-    _check_point_count(pts)
     labels = tuple(lat.label(p) for p in pts)
+    _check_point_count(labels)
     wedge, mapping = wedge_C(ts)
     family = set()
     for c in mapping:

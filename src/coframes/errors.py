@@ -27,6 +27,14 @@ class NotAMorphism(EngineError):
     """A map fails the morphism laws required by the operation."""
 
 
+class UnknownLabel(EngineError, KeyError):
+    """A label names no element of the lattice or point of the space."""
+
+
+class UnknownKind(EngineError, ValueError):
+    """A completion or modification kind is not one the engine knows."""
+
+
 class LatticeMismatch(EngineError):
     """Structures that must live on the same lattice do not."""
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AxiomViolation, BudgetExceeded, NotAMorphism
+from .errors import AxiomViolation, BudgetExceeded
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
     _trusted,
     analyze,
     bits,
-    require_morphism,
+    left_adjoint,
     require_same_carrier,
 )
 
@@ -200,7 +200,6 @@ def restrict_complemented(f: Filter) -> Filter:
 def preimage_upset(phi: LatticeMorphism, a: UpSet) -> UpSet:
     """The preimage of an up-set under a monotone map (again an up-set)."""
     require_same_carrier(phi.target, a.lattice, "up-set preimage")
-    require_morphism(phi)
     members = 0
     for l in range(phi.source.n):
         if a.members >> phi.values[l] & 1:
@@ -208,25 +207,16 @@ def preimage_upset(phi: LatticeMorphism, a: UpSet) -> UpSet:
     return _trusted(UpSet, lattice=phi.source, members=members)
 
 
-def _preimage_generator(phi: LatticeMorphism, target_gen: int) -> int:
-    src, tgt = phi.source, phi.target
-    return src.meet_of(
-        l for l in range(src.n) if tgt.leq(target_gen, phi.values[l])
-    )
-
-
 def preimage_filter(phi: LatticeMorphism, f: Filter) -> Filter:
     """The preimage of a filter under an infima-preserving map.
 
     A lattice or coframe morphism preserves the infimum of the preimage, so
     the preimage of a principal up-set is the principal up-set of that
-    infimum; a map declared only monotone is refused.  The result is built
-    by the trusted constructor (``lattice._trusted``); the test suite
-    compares its members with the preimage on every morphism of its corpus.
+    infimum, the left adjoint's value at the generator; a map declared only
+    monotone is refused.  The result is built by the trusted constructor
+    (``lattice._trusted``); the test suite compares its members with the
+    preimage on every morphism of its corpus.
     """
     require_same_carrier(phi.target, f.lattice, "filter preimage")
-    require_morphism(phi)
-    if phi.kind == "monotone":
-        raise NotAMorphism(f"{phi!r}: a filter preimage needs an infima-preserving map")
-    gen = _preimage_generator(phi, f.generator)
+    gen = left_adjoint(phi).values[f.generator]
     return _trusted(Filter, lattice=phi.source, generator=gen)

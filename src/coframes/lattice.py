@@ -26,6 +26,7 @@ from .errors import (
     NotAMorphism,
     NotASublattice,
     NotDistributive,
+    UnknownLabel,
 )
 
 __all__ = [
@@ -145,7 +146,7 @@ class FiniteLattice:
         try:
             return self.elements.index(label)
         except ValueError:
-            raise KeyError(label) from None
+            raise UnknownLabel(label) from None
 
     # -- order and operations ---------------------------------------------
 
@@ -773,6 +774,10 @@ class LatticeMorphism:
     - ``"coframe"``: arbitrary infima and finite suprema (including bounds);
     - ``"lattice"``: binary meet/join and bounds;
     - ``"monotone"``: order only.
+
+    Validated on construction: a broken law or an unknown kind raises
+    :class:`NotAMorphism` with the witness of :func:`morphism_violation`.
+    Producers of valid tables use the trusted constructor ``lattice._trusted``.
     """
 
     source: FiniteLattice
@@ -780,8 +785,23 @@ class LatticeMorphism:
     values: tuple[int, ...]
     kind: str = "coframe"
 
+    def __post_init__(self) -> None:
+        violation = morphism_violation(self)
+        if violation is not None:
+            raise NotAMorphism(f"{self!r}: {violation}")
+
     def __call__(self, i: int) -> int:
         return self.values[i]
+
+    @derived
+    def adjoint(self) -> LatticeMorphism:
+        """The least-preimage map ``m -> inf{l : m <= phi(l)}``, monotone for
+        every kind and the left adjoint of an infima-preserving map."""
+        src, tgt, vals = self.source, self.target, self.values
+        preimage = tuple(
+            src.meet_of(l for l, v in enumerate(vals) if row >> v & 1) for row in tgt.up
+        )
+        return _trusted(LatticeMorphism, source=tgt, target=src, values=preimage, kind="monotone")
 
     def __repr__(self) -> str:
         return (
@@ -790,20 +810,16 @@ class LatticeMorphism:
         )
 
 
-def morphism_violation(phi: LatticeMorphism) -> str | None:
-    """First violated law of ``phi`` (human-readable), or None.
-
-    For coframe morphisms the empty-family laws mean both bounds must be
-    preserved.  On a finite carrier every infimum is a finite meet, so the
-    bound and binary cases imply arbitrary infima; the test suite checks
-    this against a scan over every subset on the small fixtures.
-    """
-    src, tgt = phi.source, phi.target
-    vals = phi.values
+def _table_violation(
+    src: FiniteLattice, tgt: FiniteLattice, vals: Sequence[int], kind: str
+) -> str | None:
+    """:func:`morphism_violation` of the value table ``vals`` as a ``kind`` map."""
+    if kind not in ("coframe", "lattice", "monotone"):
+        return f"unknown kind {kind!r}"
     if len(vals) != src.n or any(not 0 <= v < tgt.n for v in vals):
         return "value table does not match the carriers"
     lbl_s, lbl_t = src.label, tgt.label
-    if phi.kind == "monotone":
+    if kind == "monotone":
         for x in range(src.n):
             for y in bits(src.up[x]):
                 if not tgt.leq(vals[x], vals[y]):
@@ -822,16 +838,21 @@ def morphism_violation(phi: LatticeMorphism) -> str | None:
     return None
 
 
+def morphism_violation(phi: LatticeMorphism) -> str | None:
+    """First violated law of ``phi`` (human-readable), or None; the check
+    that construction runs, and the oracle on trusted builds.
+
+    For coframe morphisms the empty-family laws mean both bounds must be
+    preserved.  On a finite carrier every infimum is a finite meet, so the
+    bound and binary cases imply arbitrary infima; the test suite checks
+    this against a scan over every subset on the small fixtures.
+    """
+    return _table_violation(phi.source, phi.target, phi.values, phi.kind)
+
+
 def check_morphism(phi: LatticeMorphism) -> bool:
     """Whether ``phi`` satisfies the laws of its declared kind."""
     return morphism_violation(phi) is None
-
-
-def require_morphism(phi: LatticeMorphism) -> None:
-    """Raise :class:`NotAMorphism` (with the witness) unless ``phi`` checks out."""
-    violation = morphism_violation(phi)
-    if violation is not None:
-        raise NotAMorphism(f"{phi!r}: {violation}")
 
 
 def require_sublattice(lattice: FiniteLattice, members: Sequence[int]) -> None:
@@ -862,26 +883,20 @@ def require_same_carrier(a: FiniteLattice, b: FiniteLattice, what: str) -> None:
 def left_adjoint(phi: LatticeMorphism) -> LatticeMorphism:
     """The left adjoint of an infima-preserving map.
 
-    For a coframe morphism ``phi: L -> M`` this is the map ``M -> L`` sending
-    ``m`` to the least ``l`` with ``m <= phi(l)``: ``phi`` preserves that
-    meet, so ``m <= phi(l)`` iff ``adj(m) <= l`` (the test suite checks the
-    adjunction on every morphism of its corpus).  A map declared only
-    monotone is refused.
+    For a coframe or lattice morphism ``phi: L -> M`` this is the map
+    ``M -> L`` sending ``m`` to the least ``l`` with ``m <= phi(l)``:
+    ``phi`` preserves that meet, so ``m <= phi(l)`` iff ``adj(m) <= l`` (the
+    test suite checks the adjunction on every morphism of its corpus).  It
+    is kept on the morphism (``adjoint``).  A monotone map is refused.
     """
-    require_morphism(phi)
     if phi.kind == "monotone":
         raise NotAMorphism(f"{phi!r}: a left adjoint needs an infima-preserving map")
-    src, tgt = phi.source, phi.target
-    vals = []
-    for m in range(tgt.n):
-        vals.append(
-            src.meet_of(l for l in range(src.n) if tgt.leq(m, phi.values[l]))
-        )
-    return LatticeMorphism(source=tgt, target=src, values=tuple(vals), kind="monotone")
+    return phi.adjoint
 
 
 def identity_morphism(lattice: FiniteLattice) -> LatticeMorphism:
-    return LatticeMorphism(
+    return _trusted(
+        LatticeMorphism,
         source=lattice,
         target=lattice,
         values=tuple(range(lattice.n)),
@@ -893,7 +908,8 @@ def compose(outer: LatticeMorphism, inner: LatticeMorphism) -> LatticeMorphism:
     """``outer ∘ inner`` (checks the carriers match)."""
     require_same_carrier(inner.target, outer.source, "composition")
     kind = outer.kind if outer.kind == inner.kind else "monotone"
-    return LatticeMorphism(
+    return _trusted(
+        LatticeMorphism,
         source=inner.source,
         target=outer.target,
         values=tuple(outer.values[v] for v in inner.values),

@@ -76,11 +76,11 @@ from .fixtures import (
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
+    _table_violation,
     _trusted,
     analyze,
     bits,
     dualize,
-    morphism_violation,
     pseudocomplement,
 )
 from .topology import (
@@ -687,10 +687,9 @@ def star_extension_unique(
             table[i] = v
         if tuple(table) == extension.values:
             continue
-        candidate = LatticeMorphism(sl.lattice, target, tuple(table), "coframe")
-        if morphism_violation(candidate) is None:
+        if _table_violation(sl.lattice, target, table, "coframe") is None:
             return False, (
-                f"a second morphism {candidate.values} agrees on the closed "
+                f"a second morphism {tuple(table)} agrees on the closed "
                 f"sublocales with {extension.values}"
             )
     return True, ""

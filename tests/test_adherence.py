@@ -37,10 +37,10 @@ from coframes.fixtures import (
 )
 from coframes.lattice import (
     LatticeMorphism,
+    _table_violation,
     bits,
     identity_morphism,
     left_adjoint,
-    morphism_violation,
 )
 from coframes.search import small_coframes
 
@@ -456,12 +456,11 @@ class TestInducedAdherence:
 
 
 def coframe_endomorphisms(lat):
-    out = []
-    for values in itertools.product(range(lat.n), repeat=lat.n):
-        phi = LatticeMorphism(lat, lat, values, kind="coframe")
-        if morphism_violation(phi) is None:
-            out.append(phi)
-    return out
+    return [
+        LatticeMorphism(lat, lat, values, kind="coframe")
+        for values in itertools.product(range(lat.n), repeat=lat.n)
+        if _table_violation(lat, lat, values, "coframe") is None
+    ]
 
 
 class TestContinuity:

@@ -25,11 +25,19 @@ from coframes.adherence import (
     AdherenceStructure,
     adh_structure_of,
     adherence_structure,
+    check_adh_continuity,
     enumerate_adherence_structures,
+    final_lift_adh,
     lim_of_nu,
     random_adherence_structure,
 )
-from coframes.convergence import S1_KINDS, ConvergenceStructure, s1
+from coframes.convergence import (
+    S1_KINDS,
+    ConvergenceStructure,
+    check_continuity,
+    final_lift,
+    s1,
+)
 from coframes.duality import (
     P_map,
     P_space,
@@ -37,7 +45,9 @@ from coframes.duality import (
     epsilon,
     kow,
     modify_space,
+    phi_dagger,
     pt_adh,
+    pt_map,
     pt_space,
     pt_top,
     space_lattice,
@@ -72,14 +82,22 @@ from coframes.fixtures import (
     topology_fixture_names,
 )
 from coframes.laws import _injected
-from coframes.lattice import LatticeMorphism, analyze, identity_morphism, left_adjoint
+from coframes.lattice import (
+    LatticeMorphism,
+    analyze,
+    compose,
+    identity_morphism,
+    left_adjoint,
+)
 from coframes.search import _candidates, _random_candidate, small_coframes
 from coframes.topology import (
     C_of_nu,
     TopologicalStructure,
     enumerate_topologies,
     lim_of_C,
+    maps_closed_to_closed,
     nu_of_C,
+    sublocale_counit,
     topological_modification,
 )
 
@@ -91,7 +109,9 @@ TRUSTED_SITES = {
     ("adherence", "adherence_from_atom_values"),
     ("adherence", "lim_of_nu"),
     ("convergence", "s1"),
+    ("duality", "P_map"),
     ("duality", "P_space"),
+    ("duality", "epsilon"),
     ("duality", "kow"),
     ("duality", "modify_space"),
     ("duality", "pt_adh"),
@@ -107,12 +127,17 @@ TRUSTED_SITES = {
     ("filters", "preimage_upset"),
     ("filters", "restrict_complemented"),
     ("laws", "_injected"),
+    ("lattice", "adjoint"),
+    ("lattice", "compose"),
+    ("lattice", "identity_morphism"),
     ("search", "_candidates"),
     ("search", "_random_candidate"),
     ("topology", "C_of_nu"),
     ("topology", "enumerate_topologies"),
     ("topology", "lim_of_C"),
     ("topology", "nu_of_C"),
+    ("topology", "star"),
+    ("topology", "sublocale_lattice"),
     ("topology", "topological_modification"),
 }
 
@@ -235,7 +260,8 @@ def _run_producers():
             for mask in enumerate_upset_masks(lat):
                 grill(UpSet(lat, mask))
 
-    # morphisms: identities, the point-set counits, the preimage maps
+    # morphisms: identities, the point-set counits, the preimage maps, and
+    # their composites with identities and with their own adjoints
     small_spaces = [space_fixture(n) for n in ("SIERP_SPACE", "DISCRETE2_SPACE", "CHAOTIC2_SPACE")]
     morphisms = [identity_morphism(lat) for lat in carriers]
     morphisms += [epsilon(cs) for cs in structures[::7]]
@@ -249,6 +275,8 @@ def _run_producers():
         # the preimage filter and the left adjoint are read off the same
         # meets; the membership scan and the adjunction are their oracles
         adj = left_adjoint(phi)
+        compose(identity_morphism(phi.target), phi)
+        compose(adj, phi)
         for f in all_filters(phi.target):
             pre = preimage_filter(phi, f)
             assert pre.generator == adj.values[f.generator]
@@ -271,6 +299,11 @@ def _run_producers():
         nu_of_C(ts)
         lim_of_C(ts)
         pt_top(ts)
+    # the closed embeddings and the collapses through ``star``, on every
+    # topology whose closed part is within the sublocale budget
+    for ts in topologies[::3] + [topology_fixture(n) for n in topology_fixture_names()]:
+        if ts.closed.bit_count() <= 5:
+            sublocale_counit(ts)
 
     # spaces
     spaces = [space_fixture(n) for n in space_fixture_names()]
@@ -351,3 +384,60 @@ class TestPublicConstructorsValidate:
         lat = lattice_fixture("PX3")
         ns = adherence_fixture("PX3_ADH")
         assert adherence_structure(lat, list(ns.nutab)).nutab == ns.nutab
+
+
+class TestMorphismsValidateOnce:
+    """A morphism is checked once, when it is built; its consumers never
+    re-check it and build its least-preimage map at most once between them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts: Counter = Counter()
+        raw = lattice_module._table_violation
+        adjoint = LatticeMorphism.__dict__["adjoint"]
+        build = adjoint.compute
+
+        def counting_laws(*args):
+            counts["laws"] += 1
+            return raw(*args)
+
+        def counting_build(phi):
+            counts["adjoint"] += 1
+            return build(phi)
+
+        monkeypatch.setattr(lattice_module, "_table_violation", counting_laws)
+        monkeypatch.setattr(adjoint, "compute", counting_build)
+        return counts
+
+    def _consumers(self):
+        sp = space_fixture("SIERP_SPACE")
+        lat = space_lattice(sp)
+        cs = P_space(sp)
+        ns = adh_structure_of(cs)
+        ts = next(iter(enumerate_topologies(lat)))
+        return lat, {
+            "check_continuity": lambda phi: check_continuity(phi, cs, cs),
+            "check_adh_continuity": lambda phi: check_adh_continuity(phi, ns, ns),
+            "final_lift": lambda phi: final_lift(lat, [(phi, cs), (phi, cs)]),
+            "final_lift_adh": lambda phi: final_lift_adh(lat, [(phi, ns), (phi, ns)]),
+            "preimage_filter": lambda phi: [preimage_filter(phi, f) for f in all_filters(lat)],
+            "preimage_upset": lambda phi: preimage_upset(phi, UpSet(lat, lat.up[lat.top])),
+            "maps_closed_to_closed": lambda phi: maps_closed_to_closed(phi, ts, ts),
+            "phi_dagger": lambda phi: phi_dagger(phi, cs, sp),
+            "pt_map": lambda phi: pt_map(phi, cs, cs),
+        }
+
+    def test_construction_checks_the_laws_once(self, counts):
+        lat, _ = self._consumers()
+        LatticeMorphism(lat, lat, tuple(range(lat.n)))
+        assert counts == {"laws": 1}
+
+    def test_consumers_never_recheck_a_built_morphism(self, counts):
+        lat, consumers = self._consumers()
+        for name, consume in consumers.items():
+            phi = LatticeMorphism(lat, lat, tuple(range(lat.n)))
+            counts.clear()
+            consume(phi)
+            consume(phi)
+            assert counts["laws"] == 0, name
+            assert counts["adjoint"] <= 1, name

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from coframes import (
     AxiomViolation,
     ConvergenceStructure,
+    EngineError,
     LatticeMismatch,
     NotDistributive,
+    UnknownKind,
     analyze,
     check_continuity,
     classify,
@@ -387,8 +389,9 @@ class TestCompletionStep:
                     assert classify(s1(cs, kind)).classical, kind
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownKind) as err:
             s1(convergence_fixture("SIERP_LIM"), "bogus")
+        assert isinstance(err.value, ValueError) and isinstance(err.value, EngineError)
 
 
 class TestCompletionIteration:

@@ -10,6 +10,7 @@ import pytest
 from coframes import (
     AxiomViolation,
     BudgetExceeded,
+    EngineError,
     FiniteAdherenceSpace,
     FiniteConvergenceSpace,
     FiniteTopologicalSpace,
@@ -19,6 +20,8 @@ from coframes import (
     P_map,
     P_space,
     SpaceMap,
+    UnknownKind,
+    UnknownLabel,
     adherence_continuous,
     all_point_maps,
     bullet,
@@ -128,6 +131,26 @@ class TestSpaceValidation:
     def test_duplicate_labels(self):
         with pytest.raises(AxiomViolation):
             convergence_space(("a", "a"), (0b11, 0b01, 0b10, 0b00))
+
+    def test_every_space_type_checks_its_point_labels(self):
+        # duplicate or empty labels are refused on construction, before the
+        # table is read, not later when a lattice is built from them
+        for points in (("a", "a"), ("", "b")):
+            with pytest.raises(AxiomViolation) as err:
+                FiniteConvergenceSpace(points, (0b11, 0b01, 0b10, 0b11))
+            assert err.value.axiom == "space.points"
+            with pytest.raises(AxiomViolation) as err:
+                FiniteAdherenceSpace(points, (0, 1, 2, 3))
+            assert err.value.axiom == "space.points"
+            with pytest.raises(AxiomViolation) as err:
+                FiniteTopologicalSpace(points, (0, 3))
+            assert err.value.axiom == "space.points"
+
+    def test_unknown_point_label(self):
+        sp = space_fixture("SIERP_SPACE")
+        with pytest.raises(UnknownLabel) as err:
+            sp.point_index("nowhere")
+        assert isinstance(err.value, KeyError) and isinstance(err.value, EngineError)
 
     def test_point_cap(self):
         # every space type checks the cap before looking at its table
@@ -530,8 +553,9 @@ class TestSpaceModifications:
         assert out.limtab == (0b11, 0b11, 0b11, 0b11)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownKind) as err:
             modify_space(space_fixture("SIERP_SPACE"), "open")
+        assert isinstance(err.value, ValueError) and isinstance(err.value, EngineError)
 
     def test_modification_squares_commute_for_lim_and_pretop(self):
         for name in (
@@ -601,6 +625,14 @@ class TestClosureSpaces:
         with pytest.raises(AxiomViolation) as err:
             FiniteAdherenceSpace(("a",), (0, 0b11))
         assert err.value.axiom == "closure.table"
+
+    def test_point_map_must_be_total(self):
+        discrete = FiniteAdherenceSpace(("a", "b"), (0, 1, 2, 3))
+        assert adherence_continuous([1, 0], discrete, discrete)
+        for values in ([5, 0], [-1, 0], [0], [0, 1, 1]):
+            with pytest.raises(AxiomViolation) as err:
+                adherence_continuous(values, discrete, discrete)
+            assert err.value.axiom == "map.total", values
 
     def test_continuity_transfers_both_ways(self):
         pretops = [

@@ -258,9 +258,9 @@ class TestPreimages:
         with pytest.raises(NotAMorphism):
             preimage_filter(monotone, Filter(c2, 1))
         assert preimage_upset(monotone, UpSet(c2, 0b10)).members == 0b100
-        shuffled = LatticeMorphism(c3, c2, (1, 0, 1), kind="monotone")
-        with pytest.raises(NotAMorphism):
-            preimage_upset(shuffled, UpSet(c2, 0b10))
+        # a map that is not even monotone never reaches the preimage
+        with pytest.raises(NotAMorphism, match="not monotone"):
+            LatticeMorphism(c3, c2, (1, 0, 1), kind="monotone")
 
     def test_image_of_complemented_commutes_with_grills(self):
         # complemented elements keep complements under lattice maps into a

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from coframes import (
     ConvergenceStructure,
     CyclicCovers,
+    EngineError,
     NotALattice,
     NotAMorphism,
     NotASublattice,
     NotDistributive,
+    UnknownLabel,
     analyze,
     build_lattice,
     check_morphism,
@@ -33,7 +35,7 @@ from coframes import (
     s1,
     sublattice,
 )
-from coframes.lattice import LatticeMorphism, bits
+from coframes.lattice import LatticeMorphism, _table_violation, _trusted, bits
 from coframes.fixtures import (
     lattice_fixture,
     lattice_fixture_names,
@@ -230,6 +232,11 @@ class TestConstruction:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(NotALattice):
             build_lattice("DUP", ("a", "a"), [])
+
+    def test_unknown_label_is_an_engine_error_and_a_key_error(self):
+        with pytest.raises(UnknownLabel) as err:
+            lattice_fixture("CHAIN3").index("nowhere")
+        assert isinstance(err.value, KeyError) and isinstance(err.value, EngineError)
 
     def test_powerset_masks_and_labels(self):
         b2 = powerset_lattice(("0", "1"))
@@ -511,15 +518,37 @@ class TestMorphisms:
 
     def test_violation_witness(self):
         b2, c2 = lattice_fixture("BOOL2"), lattice_fixture("CHAIN2")
-        bad = LatticeMorphism(b2, c2, (0, 1, 1, 1))
-        msg = morphism_violation(bad)
-        assert msg is not None and "meet" in msg
+        with pytest.raises(NotAMorphism, match="meet"):
+            LatticeMorphism(b2, c2, (0, 1, 1, 1))
+        # the same witness from the raw check and from the oracle
+        assert "meet" in _table_violation(b2, c2, (0, 1, 1, 1), "coframe")
+        forged = _trusted(
+            LatticeMorphism, source=b2, target=c2, values=(0, 1, 1, 1), kind="coframe"
+        )
+        assert "meet" in morphism_violation(forged)
 
     def test_bounds_required(self):
         c2, c3 = lattice_fixture("CHAIN2"), lattice_fixture("CHAIN3")
-        shifted = LatticeMorphism(c2, c3, (c3.index("m"), c3.index("1")))
-        msg = morphism_violation(shifted)
-        assert msg is not None and "bottom" in msg
+        with pytest.raises(NotAMorphism, match="bottom"):
+            LatticeMorphism(c2, c3, (c3.index("m"), c3.index("1")))
+
+    def test_constructor_names_the_broken_join_and_table(self):
+        b2, c3 = lattice_fixture("BOOL2"), lattice_fixture("CHAIN3")
+        # keeps the bounds and the meets of the square, but its atoms' images
+        # join below the image of their join
+        values = [c3.index("0")] * b2.n
+        values[b2.top], values[b2.index("{0}")] = c3.index("1"), c3.index("m")
+        with pytest.raises(NotAMorphism, match="join"):
+            LatticeMorphism(b2, c3, tuple(values))
+        with pytest.raises(NotAMorphism, match="table"):
+            LatticeMorphism(b2, c3, (0, 1))
+        with pytest.raises(NotAMorphism, match="table"):
+            LatticeMorphism(b2, c3, (0, 1, 2, 3))
+
+    def test_unknown_kind_is_refused(self):
+        c2 = lattice_fixture("CHAIN2")
+        with pytest.raises(NotAMorphism, match="unknown kind 'frame'"):
+            LatticeMorphism(c2, c2, (0, 1), kind="frame")
 
     def test_monotone_kind_is_weaker(self):
         c2, c3 = lattice_fixture("CHAIN2"), lattice_fixture("CHAIN3")
@@ -543,13 +572,15 @@ class TestMorphisms:
                     vals[src.top] = tgt.top
                     for x, v in zip(inner, combo):
                         vals[x] = v
-                    phi = LatticeMorphism(src, tgt, tuple(vals))
-                    if morphism_violation(phi) is None:
+                    if _table_violation(src, tgt, vals, "coframe") is None:
                         passing += 1
+                        phi = LatticeMorphism(src, tgt, tuple(vals))
                         assert infimum_violation_by_subsets(phi) is None, phi
         assert passing > 400
         b2, c2 = lattice_fixture("BOOL2"), lattice_fixture("CHAIN2")
-        bad = LatticeMorphism(b2, c2, (0, 1, 1, 1))
+        bad = _trusted(
+            LatticeMorphism, source=b2, target=c2, values=(0, 1, 1, 1), kind="coframe"
+        )
         assert infimum_violation_by_subsets(bad) is not None
 
     def test_left_adjoint_of_inclusion(self):
@@ -560,9 +591,8 @@ class TestMorphisms:
 
     def test_left_adjoint_requires_morphism(self):
         b2, c2 = lattice_fixture("BOOL2"), lattice_fixture("CHAIN2")
-        bad = LatticeMorphism(b2, c2, (0, 1, 1, 1))
         with pytest.raises(NotAMorphism):
-            left_adjoint(bad)
+            left_adjoint(LatticeMorphism(b2, c2, (0, 1, 1, 1)))
         # a map declared only monotone need not preserve the meets it reads
         monotone = LatticeMorphism(b2, c2, (0, 0, 0, 1), kind="monotone")
         with pytest.raises(NotAMorphism):
@@ -575,10 +605,9 @@ class TestMorphisms:
         for src in carriers:
             for tgt in carriers:
                 for values in itertools.product(range(tgt.n), repeat=src.n):
-                    phi = LatticeMorphism(src, tgt, values)
-                    if morphism_violation(phi) is not None:
+                    if _table_violation(src, tgt, values, "coframe") is not None:
                         continue
-                    adj = left_adjoint(phi)
+                    adj = left_adjoint(LatticeMorphism(src, tgt, values))
                     for m in range(tgt.n):
                         for l in range(src.n):
                             assert src.leq(adj.values[m], l) == tgt.leq(m, values[l])
