@@ -182,14 +182,15 @@ def adh_structure_of(cs: ConvergenceStructure) -> AdherenceStructure:
 def lim_of_nu(ns: AdherenceStructure) -> ConvergenceStructure:
     """The convergence structure induced by an adherence structure: a filter
     converges to the infimum of the adherences of the complemented elements
-    it meshes."""
+    it meshes.
+
+    Those are the complemented elements above the atoms below the
+    generator, so the infimum is taken once per atom and then folded over
+    the atoms (:meth:`FiniteLattice.row_meets`): O(n · atoms) meets.  The
+    split needs no monotonicity of the adherence table.
+    """
     lat = ns.lattice
-    comp = analyze(lat).complemented
-    rows = lat.nonzero_meet_rows
-    tab = tuple(
-        lat.meet_of(ns.nutab[a] for a in bits(rows[g] & comp))
-        for g in range(lat.n)
-    )
+    tab = tuple(lat.row_meets(ns.nutab, analyze(lat).complemented))
     return _trusted(ConvergenceStructure, lattice=lat, limtab=tab)
 
 

@@ -26,6 +26,7 @@ from .lattice import (
     _trusted,
     bits,
     derived,
+    left_adjoint,
     require_distributive,
     require_same_carrier,
 )
@@ -91,10 +92,16 @@ class ConvergenceStructure:
 
     @derived
     def adh0(self) -> tuple[int, ...]:
-        """Raw adherence: join of limits over all filters meshing the element."""
-        lat, tab = self.lattice, self.limtab
-        rows = lat.nonzero_meet_rows
-        return tuple(lat.join_of(tab[g] for g in bits(rows[l])) for l in range(lat.n))
+        """Raw adherence: join of limits over all filters meshing the element.
+
+        Those filters are generated by the nonzero-meet row of the element,
+        the union of the up-sets of the atoms below it.  The table is
+        antitone, so the join over an atom's up-set is that atom's own
+        limit, and ``adh0[l]`` is the join of the limits at the atoms below
+        ``l`` (:meth:`FiniteLattice.fold_atoms`): O(n · atoms) joins.
+        """
+        lat = self.lattice
+        return tuple(lat.fold_atoms(lat.join, lat.bottom, self.limtab))
 
     @derived
     def adh(self) -> tuple[int, ...]:
@@ -281,11 +288,13 @@ def check_continuity(
 
     The map is continuous when every filter on the target converges below the
     image of the limit of its preimage filter, and final when equality holds
-    throughout, reading the preimage filters off ``LatticeMorphism.adjoint``.
+    throughout, reading the preimage filters off :func:`left_adjoint`; a
+    map declared only monotone has no preimage filters and is refused with
+    :class:`NotAMorphism`.
     """
     require_same_carrier(phi.source, source.lattice, "continuity source")
     require_same_carrier(phi.target, target.lattice, "continuity target")
-    tgt_lat, pre = phi.target, phi.adjoint.values
+    tgt_lat, pre = phi.target, left_adjoint(phi).values
     continuous = True
     final = True
     witness: str | None = None
@@ -381,21 +390,21 @@ def final_lift(
 
     Each sink entry is a coframe morphism into ``lattice`` together with a
     structure on its source; the lifted limit of a filter is the infimum over
-    the sink of the images of the limits of the preimage filters.  The empty
-    sink yields the chaotic structure (everything converges to top).
+    the sink of the images of the limits of the preimage filters, read off
+    :func:`left_adjoint` (which refuses a map declared only monotone).  The
+    empty sink yields the chaotic structure (everything converges to top).
     """
     for phi, cs in sink:
         require_same_carrier(phi.target, lattice, "final lift target")
         require_same_carrier(phi.source, cs.lattice, "final lift source")
-    tab = []
-    for f in range(lattice.n):
-        tab.append(
-            lattice.meet_of(
-                phi.values[cs.limtab[phi.adjoint.values[f]]]
-                for phi, cs in sink
-            )
+    pre = [left_adjoint(phi).values for phi, _ in sink]
+    tab = tuple(
+        lattice.meet_of(
+            phi.values[cs.limtab[adj[f]]] for (phi, cs), adj in zip(sink, pre)
         )
-    return ConvergenceStructure(lattice, tuple(tab))
+        for f in range(lattice.n)
+    )
+    return ConvergenceStructure(lattice, tab)
 
 
 def points(cs: ConvergenceStructure) -> tuple[int, ...]:

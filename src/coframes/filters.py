@@ -162,10 +162,19 @@ def refines(f: Filter, g: Filter) -> bool:
 
 
 def mesh(a: Filter | UpSet, b: Filter | UpSet) -> bool:
-    """Whether every member of ``a`` meets every member of ``b`` above bottom."""
+    """Whether every member of ``a`` meets every member of ``b`` above bottom.
+
+    The relation is symmetric, and the nonzero-meet rows grow with the
+    element, so when either side is a filter its generator's row decides
+    (O(1)); two up-sets are compared row by row over the members of ``a``.
+    """
     require_same_carrier(a.lattice, b.lattice, "mesh")
+    if isinstance(b, Filter):
+        a, b = b, a
     rows = a.lattice.nonzero_meet_rows
     bm = b.members
+    if isinstance(a, Filter):
+        return rows[a.generator] & bm == bm
     return all(rows[x] & bm == bm for x in bits(a.members))
 
 

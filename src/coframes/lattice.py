@@ -13,9 +13,10 @@ shared carrier check identity, not shape.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -114,9 +115,9 @@ class FiniteLattice:
     principal up-set / down-set of ``i`` (reflexive).  ``bottom`` and ``top``
     are element indices.
 
-    Derived data (the :func:`analyze` report, the nonzero-meet rows, the
-    dual, the lower covers and the splits) is built on first use and kept
-    with the carrier, so it is freed together with it.
+    Derived data (the :func:`analyze` report, the atoms, the nonzero-meet
+    rows, the dual, the lower covers and the splits) is built on first use
+    and kept with the carrier, so it is freed together with it.
     """
 
     name: str
@@ -197,22 +198,62 @@ class FiniteLattice:
         return _analysis(self)
 
     @derived
+    def atoms(self) -> int:
+        """Mask of the atoms, the elements covering bottom."""
+        bottom_bit = 1 << self.bottom
+        return sum(
+            1 << c for c, below in enumerate(self.down) if below ^ bottom_bit == 1 << c
+        )
+
+    def fold_atoms(
+        self,
+        op: Callable[[int, int], int],
+        start: int,
+        values: Sequence[int] | Mapping[int, int],
+    ) -> Iterator[int]:
+        """For each element in index order, ``op`` folded from ``start`` over
+        ``values[a]`` for the atoms ``a`` below it: O(n · atoms) steps.
+
+        Every nonbottom element of a finite lattice lies above an atom, so
+        the nonzero-meet row of ``x`` is the union of the up-sets of the
+        atoms below ``x``.  A fold of an associative, commutative and
+        idempotent ``op`` over that row is therefore the fold, over those
+        atoms, of one value per atom.  Yields lazily, so a caller comparing
+        entries can stop at the first mismatch.
+        """
+        atoms = self.atoms
+        for below in self.down:
+            acc = start
+            for a in bits(below & atoms):
+                acc = op(acc, values[a])
+            yield acc
+
+    def row_meets(self, values: Sequence[int], mask: int) -> Iterator[int]:
+        """For each element ``g`` in index order, the infimum of ``values[c]``
+        over the members ``c`` of ``mask`` in the nonzero-meet row of ``g``
+        (top when there are none).
+
+        That part of the row is the union of ``up[a] & mask`` over the atoms
+        ``a`` below ``g``, and an infimum over a union is the infimum of the
+        infima over its parts, whatever ``values`` is: one infimum per atom,
+        then :meth:`fold_atoms`, so O(n · atoms) meets in all instead of
+        O(Σ|row|).
+        """
+        up = self.up
+        per_atom = {
+            a: self.meet_of(values[c] for c in bits(up[a] & mask))
+            for a in bits(self.atoms)
+        }
+        return self.fold_atoms(self.meet, self.top, per_atom)
+
+    @derived
     def nonzero_meet_rows(self) -> tuple[int, ...]:
         """Row per element: mask of elements whose meet with it is not
-        bottom, i.e. the union of the up-sets of the atoms below it."""
-        up, down = self.up, self.down
-        bottom_bit = 1 << self.bottom
-        atoms = 0
-        for c, below in enumerate(down):
-            if below ^ bottom_bit == 1 << c:
-                atoms |= 1 << c
-        rows = []
-        for below in down:
-            row = 0
-            for c in bits(below & atoms):
-                row |= up[c]
-            rows.append(row)
-        return tuple(rows)
+        bottom, i.e. the union of the up-sets of the atoms below it, built
+        by :meth:`fold_atoms` in O(n · atoms) unions.  Rows grow with the
+        element: ``x <= y`` puts ``rows[x]`` inside ``rows[y]``, so a fold
+        over a row that only needs its least members reads the atoms."""
+        return tuple(self.fold_atoms(operator.or_, 0, self.up))
 
     @derived
     def dual(self) -> FiniteLattice:

@@ -1,13 +1,15 @@
 """Named law suites over the built-in corpus plus seeded random structures.
 
 Each suite re-checks a family of identities the library relies on and
-reports violations with complete, re-checkable witness documents.  A law
-evaluation that raises is itself reported as a violation — a green suite
-means every law was actually evaluated and held.  ``inject_fault=True``
-deliberately smuggles a corrupted member into the corpus to prove the suite
-is capable of failing: a non-distributive carrier, or a structure built by
-the trusted constructor ``lattice._trusted`` past the validation that every
-value class runs on construction (see :func:`_injected`).
+reports violations with complete, re-checkable witness documents; a law is
+handed the live witness objects, and their documents are built only when it
+fails.  A law evaluation that raises is itself reported as a violation — a
+green suite means every law was actually evaluated and held.
+``inject_fault=True`` deliberately smuggles a corrupted member into the
+corpus to prove the suite is capable of failing: a non-distributive
+carrier, or a structure built by the trusted constructor
+``lattice._trusted`` past the validation that every value class runs on
+construction (see :func:`_injected`).
 """
 
 from __future__ import annotations
@@ -122,21 +124,20 @@ class SuiteReport:
         witness: dict[str, Any],
         evaluate: Callable[[], tuple[bool, str]],
     ) -> None:
+        """Evaluate one law.  ``witness`` maps names to labels (strings) or
+        live engine objects; a violation records it with every object
+        replaced by its document (:func:`_doc`)."""
         self.checks += 1
         try:
             ok, message = evaluate()
         except Exception as err:  # a law that cannot be evaluated is broken
-            self.violations.append(
-                Violation(
-                    self.suite,
-                    law,
-                    f"evaluation raised {type(err).__name__}: {err}",
-                    witness,
-                )
-            )
-            return
+            ok, message = False, f"evaluation raised {type(err).__name__}: {err}"
         if not ok:
-            self.violations.append(Violation(self.suite, law, message, witness))
+            documented = {
+                key: value if isinstance(value, str) else _doc(value)
+                for key, value in witness.items()
+            }
+            self.violations.append(Violation(self.suite, law, message, documented))
 
 
 def _injected(suite: str) -> tuple[str, Any]:
@@ -207,7 +208,7 @@ def _suite_lattice(rng: random.Random, budget: int, inject: bool) -> SuiteReport
     if inject:
         corpus.append(("injected-M3", lattice_fixture("M3")))
     for origin, lat in corpus:
-        witness = {"origin": origin, "lattice": _doc(lat)}
+        witness = {"origin": origin, "lattice": lat}
 
         def distributive(lat=lat):
             fast, literal = analyze(lat).distributive, _distributive_by_triples(lat)
@@ -270,29 +271,30 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     if inject:
         corpus.append(("injected-M3", lattice_fixture("M3")))
     for origin, lat in corpus:
-        witness = {"origin": origin, "lattice": _doc(lat)}
+        witness = {"origin": origin, "lattice": lat}
         filters = all_filters(lat)
+        # grill cannot raise, so each filter's grill is computed once, here;
+        # filters[g] is generated by g, so grills[g] is its grill
+        grills = [grill(f).members for f in filters]
         comp = analyze(lat).complemented
 
-        def antitone(lat=lat, filters=filters):
+        def antitone(lat=lat, filters=filters, grills=grills):
             # a finer filter (more members) has a smaller grill
-            for f in filters:
-                for g in filters:
-                    if refines(f, g):
-                        gf, gg = grill(f).members, grill(g).members
-                        if gf & ~gg:
-                            return False, (
-                                f"finer filter ^{lat.label(f.generator)!r} has a "
-                                f"larger grill than ^{lat.label(g.generator)!r}"
-                            )
+            for f, gf in zip(filters, grills):
+                for g, gg in zip(filters, grills):
+                    if refines(f, g) and gf & ~gg:
+                        return False, (
+                            f"finer filter ^{lat.label(f.generator)!r} has a "
+                            f"larger grill than ^{lat.label(g.generator)!r}"
+                        )
             return True, ""
 
         rep._law("grill-antitone", witness, antitone)
 
-        def mesh_law(lat=lat, filters=filters):
+        def mesh_law(lat=lat, filters=filters, grills=grills):
             for f in filters:
-                for g in filters:
-                    contained = f.members & ~grill(g).members == 0
+                for g, gg in zip(filters, grills):
+                    contained = f.members & ~gg == 0
                     if mesh(f, g) != contained:
                         return False, (
                             f"mesh(^{lat.label(f.generator)!r}, ^{lat.label(g.generator)!r})"
@@ -302,34 +304,34 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
 
         rep._law("grill-mesh", witness, mesh_law)
 
-        def proper_law(lat=lat, filters=filters):
-            for f in filters:
-                if is_proper(f) != (f.members & ~grill(f).members == 0):
+        def proper_law(lat=lat, filters=filters, grills=grills):
+            for f, gf in zip(filters, grills):
+                if is_proper(f) != (f.members & ~gf == 0):
                     return False, f"properness of ^{lat.label(f.generator)!r} disagrees with self-meshing"
             return True, ""
 
         rep._law("grill-proper", witness, proper_law)
 
-        def prime_law(lat=lat, filters=filters):
-            for f in filters:
-                gm = grill(f).members
-                for a in range(lat.n):
-                    for b in range(lat.n):
-                        j = lat.join(a, b)
-                        if gm >> j & 1 and not (gm >> a & 1 or gm >> b & 1):
-                            return False, (
-                                f"join {lat.label(j)!r} in the grill of "
-                                f"^{lat.label(f.generator)!r} but neither part is"
-                            )
+        def prime_law(lat=lat, filters=filters, grills=grills):
+            joins = [(a, b, lat.join(a, b)) for a in range(lat.n) for b in range(lat.n)]
+            for f, gm in zip(filters, grills):
+                for a, b, j in joins:
+                    if gm >> j & 1 and not (gm >> a & 1 or gm >> b & 1):
+                        return False, (
+                            f"join {lat.label(j)!r} in the grill of "
+                            f"^{lat.label(f.generator)!r} but neither part is"
+                        )
             return True, ""
 
         rep._law("grill-prime", witness, prime_law)
 
-        def pseudocomplement_law(lat=lat, filters=filters):
-            for f in filters:
-                gm = grill(f).members
-                for l in range(lat.n):
-                    if bool(gm >> l & 1) != (pseudocomplement(lat, l) not in f):
+        def pseudocomplement_law(lat=lat, filters=filters, grills=grills):
+            # computed inside the evaluation: a carrier without
+            # pseudocomplements makes it raise, which is a violation
+            pcs = [pseudocomplement(lat, l) for l in range(lat.n)]
+            for f, gm in zip(filters, grills):
+                for l, pc in enumerate(pcs):
+                    if bool(gm >> l & 1) != (pc not in f):
                         return False, (
                             f"{lat.label(l)!r} in grill iff its pseudocomplement "
                             f"outside ^{lat.label(f.generator)!r} fails"
@@ -338,25 +340,24 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
 
         rep._law("grill-pseudocomplement", witness, pseudocomplement_law)
 
-        def complemented_agreement(lat=lat, filters=filters, comp=comp):
-            for f in filters:
-                for g in filters:
-                    if f.members & comp == g.members & comp:
-                        if grill(f).members & comp != grill(g).members & comp:
-                            return False, (
-                                f"^{lat.label(f.generator)!r} and ^{lat.label(g.generator)!r}"
-                                " share complemented members but their grills do not"
-                            )
+        def complemented_agreement(lat=lat, filters=filters, grills=grills, comp=comp):
+            for f, gf in zip(filters, grills):
+                for g, gg in zip(filters, grills):
+                    if f.members & comp == g.members & comp and gf & comp != gg & comp:
+                        return False, (
+                            f"^{lat.label(f.generator)!r} and ^{lat.label(g.generator)!r}"
+                            " share complemented members but their grills do not"
+                        )
             return True, ""
 
         rep._law("grill-complemented-agreement", witness, complemented_agreement)
 
-        def restriction_law(lat=lat, filters=filters, comp=comp):
-            for f in filters:
+        def restriction_law(lat=lat, filters=filters, grills=grills, comp=comp):
+            for f, gf in zip(filters, grills):
                 r = restrict_complemented(f)
                 if f.members & comp != r.members & comp:
                     return False, f"restriction changed complemented members of ^{lat.label(f.generator)!r}"
-                if grill(f).members & comp != grill(r).members & comp:
+                if gf & comp != grills[r.generator] & comp:
                     return False, f"restriction changed the complemented grill of ^{lat.label(f.generator)!r}"
             return True, ""
 
@@ -391,7 +392,7 @@ def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteRe
     if inject:
         corpus.append(_injected("convergence"))
     for origin, cs in corpus:
-        witness = {"origin": origin, "structure": _doc(cs)}
+        witness = {"origin": origin, "structure": cs}
         lat = cs.lattice
 
         def implications(cs=cs):
@@ -445,7 +446,7 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
     if inject:
         adh_corpus.append(_injected("galois-adh"))
     for origin, ns in adh_corpus:
-        witness = {"origin": origin, "structure": _doc(ns)}
+        witness = {"origin": origin, "structure": ns}
 
         def nu_roundtrip(ns=ns):
             back = adh_structure_of(lim_of_nu(ns))
@@ -457,7 +458,7 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
 
     conv_corpus = _convergence_corpus(rng, budget)
     for origin, cs in conv_corpus:
-        witness = {"origin": origin, "structure": _doc(cs)}
+        witness = {"origin": origin, "structure": cs}
         lat = cs.lattice
 
         def lim_unit(cs=cs, lat=lat):
@@ -496,8 +497,8 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
         )
         witness = {
             "origin": f"monotone-pair-{i}",
-            "smaller": _doc(lo),
-            "larger": _doc(a),
+            "smaller": lo,
+            "larger": a,
         }
 
         def monotone(lo=lo, hi=a, lat=lat):
@@ -527,7 +528,7 @@ def _suite_topology(rng: random.Random, budget: int, inject: bool) -> SuiteRepor
     if inject:
         corpus.append(_injected("topology"))
     for origin, ts in corpus:
-        witness = {"origin": origin, "structure": _doc(ts)}
+        witness = {"origin": origin, "structure": ts}
         lat = ts.lattice
 
         def closure_laws(ts=ts, lat=lat):
@@ -559,7 +560,7 @@ def _suite_topology(rng: random.Random, budget: int, inject: bool) -> SuiteRepor
         rep._law("closed-of-convergence", witness, convergence_closed)
 
     for origin, cs in _convergence_corpus(rng, max(budget // 4, 4)):
-        witness = {"origin": origin, "structure": _doc(cs)}
+        witness = {"origin": origin, "structure": cs}
         lat = cs.lattice
 
         def modification(cs=cs, lat=lat):
@@ -587,7 +588,7 @@ def _suite_kow(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     if inject:
         spaces.append(_injected("kow"))
     for origin, sp in spaces:
-        witness = {"origin": origin, "structure": _doc(sp)}
+        witness = {"origin": origin, "structure": sp}
         rep._law(
             "unit-isomorphism",
             witness,
@@ -618,7 +619,7 @@ def _suite_kow(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
 
     corpus = _convergence_corpus(rng, max(budget // 4, 4))
     for origin, cs in corpus:
-        witness = {"origin": origin, "structure": _doc(cs)}
+        witness = {"origin": origin, "structure": cs}
         lat = cs.lattice
 
         def bullet_laws(cs=cs, lat=lat):
@@ -704,7 +705,7 @@ def _suite_locale(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     if inject:
         frames.append(("injected-M3", lattice_fixture("M3")))
     for name, lat in frames:
-        witness = {"origin": name, "lattice": _doc(lat)}
+        witness = {"origin": name, "lattice": lat}
 
         def masks_closed(lat=lat):
             sl = sublocale_lattice(lat)
@@ -738,7 +739,7 @@ def _suite_locale(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
 
     for ts_name in topology_fixture_names():
         ts = topology_fixture(ts_name)
-        witness = {"origin": ts_name, "structure": _doc(ts)}
+        witness = {"origin": ts_name, "structure": ts}
 
         def counit_retract(ts=ts):
             from .lattice import compose

@@ -15,6 +15,7 @@ from coframes import (
     ConvergenceStructure,
     EngineError,
     LatticeMismatch,
+    NotAMorphism,
     NotDistributive,
     UnknownKind,
     analyze,
@@ -481,6 +482,17 @@ class TestContinuity:
         other = chaotic_structure(lattice_fixture("CHAIN2"))
         with pytest.raises(LatticeMismatch):
             check_continuity(identity_morphism(cs.lattice), cs, other)
+
+    def test_monotone_map_has_no_preimage_filters(self):
+        # the preimage of ^1 is {{0},{1},{0,1}}, not a filter; its least
+        # preimage table would report continuous and final
+        lat, chain = lattice_fixture("BOOL2"), lattice_fixture("CHAIN2")
+        phi = LatticeMorphism(lat, chain, (0, 1, 1, 1), kind="monotone")
+        src, tgt = discrete_structure(lat), discrete_structure(chain)
+        with pytest.raises(NotAMorphism):
+            check_continuity(phi, src, tgt)
+        with pytest.raises(NotAMorphism):
+            final_lift(chain, [(phi, src)])
 
 
 class TestFinalLift:

@@ -2,10 +2,15 @@
 detected, witnesses are re-checkable documents, and runs are deterministic
 in the seed."""
 
+import json
+from collections import Counter
+
 import pytest
 
+import coframes.laws as laws
+from coframes.documents import structure_to_doc
 from coframes.errors import ConjectureError
-from coframes.fixtures import convergence_fixture_names
+from coframes.fixtures import convergence_fixture_names, lattice_fixture
 from coframes.laws import SuiteReport, Violation, run_all, run_suite, suite_names
 
 BUDGET = 40  # keeps the whole file fast while still exercising random corpora
@@ -43,6 +48,27 @@ class TestCleanCorpus:
             (v.law, v.message) for v in report.violations
         ]
         assert report.checks > 0
+
+    def test_grill_suite_builds_each_grill_once_and_no_document(self, monkeypatch):
+        grills = Counter()
+        documents = []
+        real_grill = laws.grill
+
+        def counting_grill(a):
+            grills[a.lattice] += 1
+            return real_grill(a)
+
+        def counting_doc(obj):
+            documents.append(obj)
+            return structure_to_doc(obj)
+
+        monkeypatch.setattr(laws, "grill", counting_grill)
+        monkeypatch.setattr(laws, "structure_to_doc", counting_doc)
+        report = run_suite("grill", seed=0, budget=10)
+        assert report.passed and report.checks == 105
+        assert len(grills) == 15
+        assert all(calls <= 2 * lat.n for lat, calls in grills.items())
+        assert documents == []
 
     def test_total_check_count_scales_with_budget(self):
         small = sum(r.checks for r in run_all(budget=5))
@@ -90,6 +116,25 @@ class TestFaultInjection:
         assert {v.witness["origin"] for v in unique} == {
             "SIERP_TOP", "INDISCRETE_TOP", "DISCRETE_TOP", "PX3_TOP"
         }
+
+    @pytest.mark.parametrize("name", EXPECTED_SUITES)
+    def test_witnesses_are_documents(self, name):
+        # no live object leaks into a violation, and the injected member is
+        # recorded as its document (or the fallback when it has none)
+        report = run_suite(name, seed=0, budget=10, inject_fault=True)
+        for v in report.violations:
+            json.dumps(v.witness)
+        if name in ("lattice", "grill", "locale"):
+            key, member = "lattice", lattice_fixture("M3")
+        else:
+            key, (_, member) = "structure", laws._injected(name)
+        try:
+            expected = structure_to_doc(member)
+        except Exception:
+            expected = {"unserializable": repr(member)}
+        injected = [v for v in report.violations if "injected" in v.witness["origin"]]
+        assert injected
+        assert all(v.witness[key] == expected for v in injected)
 
     def test_crashing_law_evaluations_are_reported_not_swallowed(self):
         # The corrupted non-distributive carrier makes at least one law
