@@ -120,13 +120,9 @@ def adherence_violation(
                 f"{lat.label(lat.join(nutab[a], nutab[b]))!r}",
             )
     # given monotonicity, the infimum is the value at the least complemented
-    # element above; that element preserves joins, so splits join it
-    irreducible = [len(lows) < 2 for lows in lat.covers]
-    least = [lat.meet_of(bits(up[l] & comp)) if irreducible[l] else l for l in range(lat.n)]
-    for x, a, b in lat.splits:
-        least[x] = lat.join(least[a], least[b])
-    for l in range(lat.n):
-        expected = nutab[least[l]]
+    # element above
+    for l, c in enumerate(lat.comp_above):
+        expected = nutab[c]
         if nutab[l] != expected:
             return (
                 "adherence.infimum",
@@ -354,10 +350,7 @@ def adherence_from_atom_values(
         on_comp[c] = lattice.join_of(
             v for a, v in zip(atoms, values) if lattice.leq(a, c)
         )
-    tab = tuple(
-        lattice.meet_of(on_comp[c] for c in bits(lattice.up[l] & comp))
-        for l in range(lattice.n)
-    )
+    tab = tuple(on_comp[c] for c in lattice.comp_above)
     return _trusted(AdherenceStructure, lattice=lattice, nutab=tab)
 
 

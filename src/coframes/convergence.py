@@ -105,12 +105,11 @@ class ConvergenceStructure:
 
     @derived
     def adh(self) -> tuple[int, ...]:
-        """Adherence corrected to be infimum-determined by complemented elements."""
-        lat, raw = self.lattice, self.adh0
-        comp = lat.report.complemented
-        return tuple(
-            lat.meet_of(raw[a] for a in bits(lat.up[l] & comp)) for l in range(lat.n)
-        )
+        """Adherence corrected to be infimum-determined by complemented
+        elements.  ``adh0`` is monotone, so the infimum over the complemented
+        elements above ``l`` is its value at the least of them."""
+        raw = self.adh0
+        return tuple(raw[c] for c in self.lattice.comp_above)
 
     @derived
     def quasi_closed(self) -> tuple[int, ...]:
@@ -196,11 +195,8 @@ def _limit(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
 
 
 def _classical(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
-    lat, tab = cs.lattice, cs.limtab
-    comp = lat.report.complemented
-    return all(
-        tab[g] == tab[lat.meet_of(bits(lat.up[g] & comp))] for g in range(lat.n)
-    )
+    tab = cs.limtab
+    return all(tab[g] == tab[c] for g, c in enumerate(cs.lattice.comp_above))
 
 
 def _centered(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:

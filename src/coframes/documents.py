@@ -26,6 +26,7 @@ from .lattice import (
     FiniteLattice,
     bits,
     build_lattice,
+    cover_pairs,
     dualize,
     _subset_parses,  # re-exported
     powerset_lattice,
@@ -100,15 +101,10 @@ def _string_list(value: Any, what: str) -> list[str]:
 
 
 def lattice_to_doc(lattice: FiniteLattice) -> dict[str, Any]:
-    covers = sorted(
-        [lattice.label(lo), lattice.label(hi)]
-        for hi in range(lattice.n)
-        for lo in lattice.lower_covers(hi)
-    )
     return {
         "name": lattice.name,
         "elements": list(lattice.elements),
-        "covers": covers,
+        "covers": sorted(map(list, cover_pairs(lattice))),
     }
 
 

@@ -17,7 +17,6 @@ from .lattice import (
     FiniteLattice,
     LatticeMorphism,
     _trusted,
-    analyze,
     bits,
     left_adjoint,
     require_same_carrier,
@@ -201,8 +200,7 @@ def restrict_complemented(f: Filter) -> Filter:
     Top is always a complemented member, so this is well defined; the result
     is the coarsest filter with the same complemented members.
     """
-    comp = analyze(f.lattice).complemented
-    gen = f.lattice.meet_of(bits(f.members & comp))
+    gen = f.lattice.comp_above[f.generator]
     return _trusted(Filter, lattice=f.lattice, generator=gen)
 
 

@@ -2,9 +2,11 @@
 
 The central object is :class:`FiniteLattice`: elements are indices ``0..n-1``
 with string labels, and the order is stored as bit rows — ``up[i]`` has bit
-``j`` set iff ``i <= j``.  Meets and joins are either table-driven (generic
-lattices, built once from the cover relation) or computed directly on element
-indices (powerset lattices, where the index *is* the subset bitmask).
+``j`` set iff ``i <= j``.  Meets and joins are either table-driven or computed
+directly on element indices (powerset lattices, where the index *is* the subset
+bitmask).  Every table carrier (from covers, down-sets, sublattices or
+sublocales) is built by one O(n^2) builder that looks each table entry up by
+its row.
 
 Lattice objects are immutable and compared by identity: two structurally equal
 lattices built separately are distinct carriers, and operations that require a
@@ -115,9 +117,10 @@ class FiniteLattice:
     principal up-set / down-set of ``i`` (reflexive).  ``bottom`` and ``top``
     are element indices.
 
-    Derived data (the :func:`analyze` report, the atoms, the nonzero-meet
-    rows, the dual, the lower covers and the splits) is built on first use
-    and kept with the carrier, so it is freed together with it.
+    Derived data (the :func:`analyze` report, the atoms, the least
+    complemented element above each element, the nonzero-meet rows, the
+    dual, the lower covers and the splits) is built on first use and kept
+    with the carrier, so it is freed together with it.
     """
 
     name: str
@@ -247,6 +250,17 @@ class FiniteLattice:
         return self.fold_atoms(self.meet, self.top, per_atom)
 
     @derived
+    def comp_above(self) -> tuple[int, ...]:
+        """Per element ``l``, the meet of the complemented elements above
+        it (on every lattice): on a distributive carrier, whose complemented
+        part is a sublattice, the least complemented element above ``l``.  A value
+        that is monotone in a complemented argument has its infimum over
+        those elements at this one."""
+        comp, up = self.report.complemented, self.up
+        low_first = self.op_mode == _MASK_DUAL
+        return tuple(_fold(self.meet, up, self.top, row & comp, low_first) for row in up)
+
+    @derived
     def nonzero_meet_rows(self) -> tuple[int, ...]:
         """Row per element: mask of elements whose meet with it is not
         bottom, i.e. the union of the up-sets of the atoms below it, built
@@ -374,45 +388,73 @@ def build_lattice(
     when some pair lacks a meet or a join (or bounds are missing).
     """
     _check_labels(elements)
-    n = len(elements)
-    pairs = _resolve_pairs(elements, covers)
-    up = _closure_from_covers(n, pairs)
-    down = [0] * n
-    for i in range(n):
-        row = up[i]
+    up = _closure_from_covers(len(elements), _resolve_pairs(elements, covers))
+    return _lattice_of_order(name, elements, up, _transpose(up))
+
+
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The transpose of a square bit matrix: down-rows from up-rows."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
         for j in bits(row):
-            down[j] |= 1 << i
-    full = (1 << n) - 1
-    bottoms = [i for i in range(n) if up[i] == full]
-    tops = [i for i in range(n) if down[i] == full]
-    if len(bottoms) != 1 or len(tops) != 1:
+            out[j] |= 1 << i
+    return out
+
+
+def _inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Up- and down-rows of distinct ``masks`` ordered by inclusion."""
+    up = [0] * len(masks)
+    down = [0] * len(masks)
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            if mi & mj == mi:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return up, down
+
+
+def _lattice_of_order(
+    name: str, elements: Sequence[str], up: Sequence[int], down: Sequence[int]
+) -> FiniteLattice:
+    """The lattice of a finite order given by its reflexive up- and down-rows.
+
+    In any poset ``down[x] & down[y]`` is a principal down-set exactly when
+    ``x ^ y`` exists, and it is then ``down[x ^ y]`` (dually for joins), so
+    each table entry is one dict lookup: O(n^2) in all.  Raises
+    :class:`NotALattice` when a bound is missing, else naming the first
+    pair without a meet, else the first without a join.
+    """
+    full = (1 << len(elements)) - 1
+    of_up = {row: i for i, row in enumerate(up)}
+    of_down = {row: i for i, row in enumerate(down)}
+    if full not in of_up or full not in of_down:
         raise NotALattice(f"{name}: missing global bottom or top")
 
-    def extremum(common: int, rows: list[int], what: str, x: int, y: int) -> int:
-        for z in bits(common):
-            if rows[z] == common:
-                return z
-        raise NotALattice(
-            f"{name}: no {what} for {elements[x]!r}, {elements[y]!r}"
-        )
+    def table(
+        rows: Sequence[int], of_row: dict[int, int], what: str
+    ) -> tuple[tuple[int, ...], ...]:
+        try:
+            return tuple(tuple([of_row[rx & ry] for ry in rows]) for rx in rows)
+        except KeyError:
+            x, y = next(
+                (x, y)
+                for x, rx in enumerate(rows)
+                for y, ry in enumerate(rows)
+                if rx & ry not in of_row
+            )
+            raise NotALattice(
+                f"{name}: no {what} for {elements[x]!r}, {elements[y]!r}"
+            ) from None
 
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x, n):
-            m = extremum(down[x] & down[y], down, "meet", x, y)
-            j = extremum(up[x] & up[y], up, "join", x, y)
-            meet[x][y] = meet[y][x] = m
-            join[x][y] = join[y][x] = j
     return FiniteLattice(
         name=name,
         elements=tuple(elements),
         up=tuple(up),
         down=tuple(down),
-        bottom=bottoms[0],
-        top=tops[0],
-        meet_table=tuple(tuple(r) for r in meet),
-        join_table=tuple(tuple(r) for r in join),
+        bottom=of_up[full],
+        top=of_down[full],
+        meet_table=table(down, of_down, "meet"),
+        join_table=table(up, of_up, "join"),
     )
 
 
@@ -545,13 +587,8 @@ def poset_from_covers(
     labels: Sequence[str], covers: Iterable[tuple[int | str, int | str]]
 ) -> FinitePoset:
     _check_labels(labels)
-    pairs = _resolve_pairs(labels, covers)
-    up = _closure_from_covers(len(labels), pairs)
-    below = [0] * len(labels)
-    for i, row in enumerate(up):
-        for j in bits(row):
-            below[j] |= 1 << i
-    return FinitePoset(labels=tuple(labels), below=tuple(below))
+    up = _closure_from_covers(len(labels), _resolve_pairs(labels, covers))
+    return FinitePoset(labels=tuple(labels), below=tuple(_transpose(up)))
 
 
 def downset_lattice(poset: FinitePoset, name: str | None = None) -> FiniteLattice:
@@ -564,26 +601,10 @@ def downset_lattice(poset: FinitePoset, name: str | None = None) -> FiniteLattic
     if poset.n > 16:
         raise BudgetExceeded("downset lattice over more than 16 poset elements")
     masks = poset.downsets
-    n = len(masks)
-    index_of = {m: i for i, m in enumerate(masks)}
-    up = [0] * n
-    down = [0] * n
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if mi & mj == mi:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    meet = [tuple(index_of[mi & mj] for mj in masks) for mi in masks]
-    join = [tuple(index_of[mi | mj] for mj in masks) for mi in masks]
-    return FiniteLattice(
-        name=name or "D(" + ",".join(poset.labels) + ")",
-        elements=tuple(subset_label(poset.labels, m) for m in masks),
-        up=tuple(up),
-        down=tuple(down),
-        bottom=0,
-        top=n - 1,
-        meet_table=tuple(meet),
-        join_table=tuple(join),
+    return _lattice_of_order(
+        name or "D(" + ",".join(poset.labels) + ")",
+        [subset_label(poset.labels, m) for m in masks],
+        *_inclusion_rows(masks),
     )
 
 
@@ -617,30 +638,11 @@ def sublattice(
     witness pair when the subset is not closed.
     """
     idx = sorted(set(members), key=lambda i: (lattice.down[i].bit_count(), i))
-    pos = {x: p for p, x in enumerate(idx)}
     require_sublattice(lattice, idx)
-    n = len(idx)
-    up = [0] * n
-    down = [0] * n
-    for p, a in enumerate(idx):
-        for q, b in enumerate(idx):
-            if lattice.leq(a, b):
-                up[p] |= 1 << q
-                down[q] |= 1 << p
-    meet = [tuple(pos[lattice.meet(a, b)] for b in idx) for a in idx]
-    join = [tuple(pos[lattice.join(a, b)] for b in idx) for a in idx]
-    full = (1 << n) - 1
-    bottom = next(p for p in range(n) if up[p] == full)
-    top = next(p for p in range(n) if down[p] == full)
-    sub = FiniteLattice(
-        name=name or lattice.name + "|sub",
-        elements=tuple(lattice.label(a) for a in idx),
-        up=tuple(up),
-        down=tuple(down),
-        bottom=bottom,
-        top=top,
-        meet_table=tuple(meet),
-        join_table=tuple(join),
+    sub = _lattice_of_order(
+        name or lattice.name + "|sub",
+        [lattice.label(a) for a in idx],
+        *_inclusion_rows([lattice.down[a] for a in idx]),
     )
     return sub, idx
 

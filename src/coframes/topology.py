@@ -31,6 +31,8 @@ from .errors import (
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
+    _inclusion_rows,
+    _lattice_of_order,
     _trusted,
     analyze,
     bits,
@@ -300,41 +302,10 @@ def sublocale_lattice(omega: FiniteLattice) -> SublocaleLattice:
         members.append(s)
     members.sort(key=lambda s: (s.bit_count(), s))
     pos = {s: i for i, s in enumerate(members)}
-    count = len(members)
-    up = [0] * count
-    down = [0] * count
-    for i, s in enumerate(members):
-        for j, t in enumerate(members):
-            if s & t == s:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    meet_table = []
-    join_table = []
-    for s in members:
-        meets = []
-        joins = []
-        for t in members:
-            meets.append(pos[s & t])
-            union = s | t
-            least = (1 << n) - 1
-            for w in members:
-                if w & union == union:
-                    least &= w
-            joins.append(pos[least])
-        meet_table.append(tuple(meets))
-        join_table.append(tuple(joins))
-    labels = tuple(
-        "{" + ",".join(omega.label(i) for i in bits(s)) + "}" for s in members
-    )
-    lat = FiniteLattice(
-        name=f"Subloc({omega.name})",
-        elements=labels,
-        up=tuple(up),
-        down=tuple(down),
-        bottom=pos[1 << omega.top],
-        top=pos[(1 << n) - 1],
-        meet_table=tuple(meet_table),
-        join_table=tuple(join_table),
+    lat = _lattice_of_order(
+        f"Subloc({omega.name})",
+        ["{" + ",".join(omega.label(i) for i in bits(s)) + "}" for s in members],
+        *_inclusion_rows(members),
     )
     closed_index = tuple(pos[omega.up[u]] for u in range(n))
     open_index = []

@@ -15,6 +15,7 @@ from coframes import (
     ConvergenceStructure,
     CyclicCovers,
     EngineError,
+    Filter,
     NotALattice,
     NotAMorphism,
     NotASublattice,
@@ -32,8 +33,10 @@ from coframes import (
     poset_from_covers,
     powerset_lattice,
     pseudocomplement,
+    restrict_complemented,
     s1,
     sublattice,
+    sublocale_lattice,
 )
 from coframes.lattice import LatticeMorphism, _table_violation, _trusted, bits
 from coframes.fixtures import (
@@ -43,6 +46,7 @@ from coframes.fixtures import (
     random_poset,
 )
 from coframes.search import small_coframes
+from coframes.topology import enumerate_topologies, wedge_C
 
 
 def mask_of(lat, labels):
@@ -192,6 +196,91 @@ def oracle_corpus():
     )
 
 
+# ---------------------------------------------------------------------------
+# oracle: the meet and join tables by scanning the common bounds
+
+
+def tables_by_scan(lat):
+    """Bottoms, tops, and the meet and join tables (``None`` where a pair
+    has none) by the O(n^3) scan for the common bound whose own row is the
+    whole common row."""
+    n, full, up, down = lat.n, lat.full_mask, lat.up, lat.down
+
+    def extremum(common, rows):
+        return next((z for z in bits(common) if rows[z] == common), None)
+
+    return (
+        [i for i in range(n) if up[i] == full],
+        [i for i in range(n) if down[i] == full],
+        [[extremum(down[x] & down[y], down) for y in range(n)] for x in range(n)],
+        [[extremum(up[x] & up[y], up) for y in range(n)] for x in range(n)],
+    )
+
+
+def table_corpus():
+    """Fixtures, every carrier of up to 8 elements and its dual, seeded
+    random down-set lattices, the closed parts of every topology on the
+    carriers of up to 6 elements, and five sublocale lattices."""
+    fixtures = [lattice_fixture(name) for name in lattice_fixture_names()]
+    coframes = list(small_coframes(8))
+    rng = random.Random(20261018)
+    closed_parts = [
+        wedge_C(ts)[0] for lat in small_coframes(6) for ts in enumerate_topologies(lat)
+    ]
+    sublocales = [
+        sublocale_lattice(lattice_fixture(name)).lattice
+        for name in ("CHAIN2", "CHAIN3", "CHAIN4", "BOOL2", "V5")
+    ]
+    return (
+        fixtures
+        + coframes
+        + [dualize(lat) for lat in coframes]
+        + [random_downset_lattice(rng) for _ in range(200)]
+        + closed_parts
+        + sublocales
+    )
+
+
+class TestTablesOracle:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return table_corpus()
+
+    def test_tables_and_bounds_match_the_scan(self, corpus):
+        for lat in corpus:
+            bottoms, tops, meet, join = tables_by_scan(lat)
+            assert bottoms == [lat.bottom] and tops == [lat.top], lat
+            every = range(lat.n)
+            assert meet == [[lat.meet(x, y) for y in every] for x in every], lat
+            assert join == [[lat.join(x, y) for y in every] for x in every], lat
+
+    def test_comp_above_is_the_meet_of_the_complemented_elements_above(self, corpus):
+        for lat in corpus:
+            comp = analyze(lat).complemented
+            expected = tuple(lat.meet_of(bits(row & comp)) for row in lat.up)
+            assert lat.comp_above == expected, lat
+            if analyze(lat).distributive:
+                # the complemented part is a sublattice: the meet is its least member above
+                assert all(
+                    comp >> c & 1 and lat.leq(l, c) for l, c in enumerate(lat.comp_above)
+                ), lat
+
+    def test_restrict_complemented_matches_its_members_on_m3_and_n5(self):
+        for lat in (lattice_fixture("M3"), lattice_fixture("N5"), chain_under_m3(2)):
+            comp = analyze(lat).complemented
+            for g in range(lat.n):
+                kept = lat.up[g] & comp
+                # the filter generated by the complemented members: the
+                # intersection of the filters that hold all of them
+                members = lat.full_mask
+                for h in range(lat.n):
+                    if lat.up[h] & kept == kept:
+                        members &= lat.up[h]
+                restricted = restrict_complemented(Filter(lat, g))
+                assert restricted.members == members, (lat, g)
+                assert restricted.members & comp == kept, (lat, g)
+
+
 class TestConstruction:
     def test_chain_order(self):
         c3 = lattice_fixture("CHAIN3")
@@ -208,13 +297,15 @@ class TestConstruction:
         assert rep.complemented == 1  # bottom is complemented (by itself)
 
     def test_missing_top_rejected(self):
-        # two maximal elements above a common bottom: join of the maxima fails
-        with pytest.raises(NotALattice):
+        # two maximal elements above a common bottom: no global top
+        with pytest.raises(NotALattice, match="missing global bottom or top"):
             build_lattice("VEE", ("0", "a", "b"), [("0", "a"), ("0", "b")])
 
     def test_missing_meet_rejected(self):
         # bowtie: a, b below c, d — pairs (a,b) and (c,d) lack join/meet
-        with pytest.raises(NotALattice):
+        with pytest.raises(
+            NotALattice, match="no meet for 'c', 'd'|no join for 'a', 'b'"
+        ):
             build_lattice(
                 "BOWTIE",
                 ("0", "a", "b", "c", "d", "1"),
