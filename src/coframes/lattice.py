@@ -178,6 +178,11 @@ class FiniteLattice:
             acc = self.meet(acc, x)
         return acc
 
+    def meet_mask(self, mask: int) -> int:
+        """Infimum of the members of ``mask`` by :func:`_fold`: one meet per
+        member not above the running meet."""
+        return _fold(self.meet, self.up, self.top, mask, self.op_mode == _MASK_DUAL)
+
     def join_of(self, items: Iterable[int]) -> int:
         """Supremum of a finite family; the empty supremum is ``bottom``."""
         acc = self.bottom
@@ -256,9 +261,8 @@ class FiniteLattice:
         part is a sublattice, the least complemented element above ``l``.  A value
         that is monotone in a complemented argument has its infimum over
         those elements at this one."""
-        comp, up = self.report.complemented, self.up
-        low_first = self.op_mode == _MASK_DUAL
-        return tuple(_fold(self.meet, up, self.top, row & comp, low_first) for row in up)
+        comp = self.report.complemented
+        return tuple(self.meet_mask(row & comp) for row in self.up)
 
     @derived
     def nonzero_meet_rows(self) -> tuple[int, ...]:
@@ -403,14 +407,8 @@ def _transpose(rows: Sequence[int]) -> list[int]:
 
 def _inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     """Up- and down-rows of distinct ``masks`` ordered by inclusion."""
-    up = [0] * len(masks)
-    down = [0] * len(masks)
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if mi & mj == mi:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return up, down
+    up = [sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi) for mi in masks]
+    return up, _transpose(up)
 
 
 def _lattice_of_order(
@@ -568,19 +566,18 @@ class FinitePoset:
     @derived
     def downsets(self) -> tuple[int, ...]:
         """The down-closed subsets as point masks, ordered by (size, mask),
-        which is a linear extension of inclusion.
+        which is a linear extension of inclusion (see :func:`_union_closure`)."""
+        return tuple(sorted(_union_closure(self.below), key=lambda m: (m.bit_count(), m)))
 
-        Points are added in order of down-set size, so each new point is
-        maximal among those added: the down-sets grow by the old ones that
-        hold everything strictly below it, with the point added.  That is
-        O(k) per down-set, not a scan of all ``2^k`` masks."""
-        found = [0]
-        for p in sorted(range(self.n), key=lambda i: self.below[i].bit_count()):
-            bit = 1 << p
-            strictly_below = self.below[p] ^ bit
-            found += [d | bit for d in found if d & strictly_below == strictly_below]
-        found.sort(key=lambda m: (m.bit_count(), m))
-        return tuple(found)
+
+def _union_closure(below: Iterable[int]) -> set[int]:
+    """Every union of some of the ``below`` rows, the empty one included:
+    the down-sets, when the rows are the reflexive down-rows of a preorder.
+    Each row at most doubles the family, so O(k) unions per down-set."""
+    family = {0}
+    for row in below:
+        family |= {s | row for s in family}
+    return family
 
 
 def poset_from_covers(
@@ -730,9 +727,6 @@ def _analysis(lattice: FiniteLattice) -> LatticeReport:
     def sup(mask: int) -> int:
         return _fold(lattice.join, down, bottom, mask, high)
 
-    def inf(mask: int) -> int:
-        return _fold(lattice.meet, up, top, mask, not high)
-
     # complemented elements and a canonical complement (least index)
     complemented = 0
     complement = [-1] * n
@@ -752,7 +746,7 @@ def _analysis(lattice: FiniteLattice) -> LatticeReport:
     m = [sup(full & ~up[x]) for x in range(n)]
     join_primes = sum(1 << x for x in range(n) if not up[x] >> m[x] & 1)
     meet_primes = sum(
-        1 << x for x in range(n) if not down[x] >> inf(full & ~down[x]) & 1
+        1 << x for x in range(n) if not down[x] >> lattice.meet_mask(full & ~down[x]) & 1
     )
     # Join-primes are join-irreducible; the lattice is distributive iff the
     # converse holds, i.e. every other element is the join of those below

@@ -6,12 +6,13 @@ elements.  Such a structure induces an adherence structure (infimum over
 closed elements above) and a convergence structure (a filter converges to
 the infimum of the closed elements it meshes); conversely every convergence
 structure has a topological modification, the finest topological structure
-coarser than it.
+coarser than it.  Topologies are enumerated from preorders, in time
+proportional to their number.
 
 The second half of the module builds the lattice of sublocales of a finite
-frame, the canonical closed-element embedding, the induced action on frame
-morphisms, and the collapse morphism exhibiting topological carriers as a
-coreflective image of sublocale lattices.
+frame from its primes, the canonical closed-element embedding, the induced
+action on frame morphisms, and the collapse morphism exhibiting topological
+carriers as a coreflective image of sublocale lattices.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .lattice import (
     LatticeMorphism,
     _inclusion_rows,
     _lattice_of_order,
+    _transpose,
     _trusted,
+    _union_closure,
     analyze,
     bits,
     dualize,
@@ -115,12 +118,11 @@ def topological_structure(
 
 def nu_of_C(ts: TopologicalStructure) -> AdherenceStructure:
     """The adherence structure of a topological structure: each element's
-    adherence is the infimum of the closed elements above it.  The axioms
-    hold by construction, so it is built by ``lattice._trusted``."""
+    adherence is the infimum of the closed elements above it, one meet per
+    minimal one (``meet_mask``).  The axioms hold by construction, so it is
+    built by ``lattice._trusted``."""
     lat = ts.lattice
-    tab = tuple(
-        lat.meet_of(c for c in bits(lat.up[l] & ts.closed)) for l in range(lat.n)
-    )
+    tab = tuple(lat.meet_mask(row & ts.closed) for row in lat.up)
     return _trusted(AdherenceStructure, lattice=lat, nutab=tab)
 
 
@@ -193,30 +195,43 @@ def maps_closed_to_closed(
 def enumerate_topologies(
     lattice: FiniteLattice, *, budget: int = 1 << 20
 ) -> Iterable[TopologicalStructure]:
-    """All topological structures on the carrier, coarsest (just the bounds)
-    first by member count."""
+    """All topological structures on the carrier, ordered by (member count,
+    closed mask), so the coarsest (just the bounds) comes first.
+
+    They are the bounded sublattices of the complemented part ``2^m``: the
+    joins of the down-sets of each preorder on its ``m`` atoms (Birkhoff;
+    OEIS A000798).  The preorders grow one point at a time, which gets a
+    down-set and an up-set of the old preorder with every member of the
+    first below every member of the second, so the work is proportional to
+    the output.  More than ``budget`` preorders in a stage (stages only
+    grow) raise :class:`BudgetExceeded`."""
     require_distributive(lattice, "topological structures")
-    comp = analyze(lattice).complemented
-    optional = [
-        c for c in bits(comp) if c != lattice.bottom and c != lattice.top
-    ]
-    if 1 << len(optional) > budget:
-        raise BudgetExceeded(
-            f"2**{len(optional)} candidate topologies on {lattice.name}"
-        )
-    base = 1 << lattice.bottom | 1 << lattice.top
-    found = []
-    for pick in range(1 << len(optional)):
-        mask = base
-        for i in bits(pick):
-            mask |= 1 << optional[i]
-        elems = list(bits(mask))
-        if all(
-            mask >> lattice.meet(a, b) & 1 and mask >> lattice.join(a, b) & 1
-            for a in elems
-            for b in elems
-        ):
-            found.append(mask)
+    comp, down, bottom = analyze(lattice).complemented, lattice.down, lattice.bottom
+    atoms = [c for c in bits(comp ^ 1 << bottom) if down[c] & comp == 1 << c | 1 << bottom]
+    joins = [bottom]
+    for a in atoms:
+        joins += [lattice.join(j, a) for j in joins]
+    refusal = f"more than {budget} topologies on {lattice.name}"
+    if budget < 1:
+        raise BudgetExceeded(refusal)
+    stage: list[tuple[int, ...]] = [()]
+    for k in range(len(atoms)):
+        bit, grown = 1 << k, []
+        for below in stage:
+            ups = _union_closure(_transpose(below))
+            for low in _union_closure(below):
+                # point k goes above the down-set `low` and below the up-set
+                # `high`, which must lie above every member of `low`
+                above_low = sum(1 << u for u, row in enumerate(below) if row & low == low)
+                grown += [
+                    (*(r | bit * (high >> i & 1) for i, r in enumerate(below)), low | bit)
+                    for high in ups
+                    if high & above_low == high
+                ]
+                if len(grown) > budget:
+                    raise BudgetExceeded(refusal)
+        stage = grown
+    found = [sum(1 << joins[d] for d in _union_closure(below)) for below in stage]
     for mask in sorted(found, key=lambda m: (m.bit_count(), m)):
         yield _trusted(TopologicalStructure, lattice=lattice, closed=mask)
 
@@ -244,7 +259,7 @@ def heyting_implication(lattice: FiniteLattice, u: int, v: int) -> int:
     return best
 
 
-_SUBLOCALE_BUDGET = 8
+_SUBLOCALE_BUDGET = 7  # primes, so at most 128 sublocales
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,47 +288,39 @@ def sublocale_lattice(omega: FiniteLattice) -> SublocaleLattice:
     """All sublocales of a finite frame (given in frame orientation).
 
     A sublocale is a subset containing the frame's top, closed under binary
-    meets, and closed under implication from arbitrary frame elements.  The
+    meets, and closed under implication from arbitrary frame elements: on a
+    finite frame, the meet-closure with top of a set of primes (Picado &
+    Pultr), one per set, built by doubling the list once per prime.  The
     collection is closed under intersection, so it forms a lattice under
-    inclusion; meets are intersections, joins are least upper bounds.  Each
-    open part is a sublocale complementing its closed part, and the closed
-    embedding is an injective coframe morphism; the test suite checks these
-    on every frame fixture within the budget.
+    inclusion; meets are intersections, joins are least upper bounds.  The
+    open part of ``u`` is the closure of the primes not above ``u``, since
+    ``u -> p`` is ``p`` for those and top otherwise.  Each open part is a
+    sublocale complementing its closed part, and the closed embedding is an
+    injective coframe morphism; the test suite checks these on every frame
+    fixture within the budget of ``_SUBLOCALE_BUDGET`` primes.
     """
     if not analyze(omega).distributive:
         raise NotDistributive(f"{omega.name}: sublocales need a distributive frame")
-    n = omega.n
-    if n > _SUBLOCALE_BUDGET:
+    primes = list(bits(analyze(omega).meet_primes))
+    if len(primes) > _SUBLOCALE_BUDGET:
         raise BudgetExceeded(
-            f"sublocales of {omega.name}: {n} elements (limit {_SUBLOCALE_BUDGET})"
+            f"sublocales of {omega.name}: {len(primes)} primes (limit {_SUBLOCALE_BUDGET})"
         )
-    imp = [
-        [heyting_implication(omega, u, v) for v in range(n)] for u in range(n)
-    ]
-    members = []
-    for s in range(1 << n):
-        if not s >> omega.top & 1:
-            continue
-        elems = list(bits(s))
-        if not all(s >> omega.meet(a, b) & 1 for a in elems for b in elems):
-            continue
-        if not all(s >> imp[u][v] & 1 for u in range(n) for v in elems):
-            continue
-        members.append(s)
-    members.sort(key=lambda s: (s.bit_count(), s))
+    by_primes = [1 << omega.top]
+    for p in primes:
+        by_primes += [s | sum({1 << omega.meet(p, v) for v in bits(s)}) for s in by_primes]
+    members = sorted(by_primes, key=lambda s: (s.bit_count(), s))
     pos = {s: i for i, s in enumerate(members)}
     lat = _lattice_of_order(
         f"Subloc({omega.name})",
         ["{" + ",".join(omega.label(i) for i in bits(s)) + "}" for s in members],
         *_inclusion_rows(members),
     )
-    closed_index = tuple(pos[omega.up[u]] for u in range(n))
-    open_index = []
-    for u in range(n):
-        mask = 0
-        for v in range(n):
-            mask |= 1 << imp[u][v]
-        open_index.append(pos[mask])
+    closed_index = tuple(pos[row] for row in omega.up)
+    open_index = tuple(
+        pos[by_primes[sum(1 << i for i, p in enumerate(primes) if not row >> p & 1)]]
+        for row in omega.up
+    )
     embedding = _trusted(
         LatticeMorphism,
         source=dualize(omega),
@@ -326,7 +333,7 @@ def sublocale_lattice(omega: FiniteLattice) -> SublocaleLattice:
         lattice=lat,
         masks=tuple(members),
         closed_index=closed_index,
-        open_index=tuple(open_index),
+        open_index=open_index,
         closed_embedding=embedding,
     )
 
@@ -371,12 +378,13 @@ def star(
     ``values[u]`` is the image in ``target_frame`` (frame orientation) of the
     frame element ``u``.  The result maps the sublocale ``S`` to the join
     over ``u`` of ``complement(values[u]) ∧ values[j_S(u)]``, where ``j_S(u)``
-    is the least member of ``S`` above ``u``.  The given map is validated,
-    and the result is checked in O(n) to agree with it on the closed
-    sublocales; a mismatch raises :class:`StarFormulaMismatch` and is never
-    patched over.  The morphism laws and uniqueness of the result are
-    theorems, checked in the test suite (on every result of its corpus) and
-    by the ``locale`` law suite's exhaustive scan (``star-extension-unique``).
+    is the least member of ``S`` above ``u`` (``S`` is meet-closed).  The
+    given map is validated, and the result is checked in O(n) to agree with
+    it on the closed sublocales; a mismatch raises
+    :class:`StarFormulaMismatch` and is never patched over.  The morphism
+    laws and uniqueness of the result are theorems, checked in the test
+    suite (on every result of its corpus) and by the ``locale`` law suite's
+    exhaustive scan (``star-extension-unique``).
     """
     omega = sl.frame
     if len(values) != omega.n:
@@ -389,15 +397,13 @@ def star(
                 f"image {target_frame.label(values[u])!r} of "
                 f"{omega.label(u)!r} has no complement"
             )
-    star_values = []
-    for s in sl.masks:
-        parts = []
-        for u in range(omega.n):
-            j_su = omega.meet_of(v for v in bits(s) if omega.leq(u, v))
-            parts.append(
-                target_frame.meet(rep.complement[values[u]], values[j_su])
-            )
-        star_values.append(target_frame.join_of(parts))
+    star_values = [
+        target_frame.join_of(
+            target_frame.meet(rep.complement[values[u]], values[omega.meet_mask(s & row)])
+            for u, row in enumerate(omega.up)
+        )
+        for s in sl.masks
+    ]
     for u in range(omega.n):
         got = star_values[sl.closed_index[u]]
         if got != values[u]:

@@ -63,16 +63,66 @@ from coframes.lattice import (
     dualize,
     identity_morphism,
     morphism_violation,
+    powerset_lattice,
 )
 
 
 def frame_fixtures():
-    """Every distributive lattice fixture small enough for sublocales."""
+    """Every distributive lattice fixture with few enough primes for
+    sublocales."""
     return [
         lat
         for lat in map(lattice_fixture, lattice_fixture_names())
-        if lat.n <= _SUBLOCALE_BUDGET and analyze(lat).distributive
+        if analyze(lat).distributive
+        and analyze(lat).meet_primes.bit_count() <= _SUBLOCALE_BUDGET
     ]
+
+
+def distributive_carriers():
+    """Every carrier of ``small_coframes(8)`` and every distributive fixture."""
+    fixtures = map(lattice_fixture, lattice_fixture_names())
+    return list(small_coframes(8)) + [l for l in fixtures if analyze(l).distributive]
+
+
+def topologies_by_subset_scan(lattice):
+    """Reference oracle: the closed masks of every topology, by scanning all
+    subsets of the non-bound complemented elements for meet/join closure,
+    ordered by (member count, mask)."""
+    comp = analyze(lattice).complemented
+    optional = [c for c in bits(comp) if c != lattice.bottom and c != lattice.top]
+    base = 1 << lattice.bottom | 1 << lattice.top
+    found = []
+    for pick in range(1 << len(optional)):
+        mask = base
+        for i in bits(pick):
+            mask |= 1 << optional[i]
+        elems = list(bits(mask))
+        if all(
+            mask >> lattice.meet(a, b) & 1 and mask >> lattice.join(a, b) & 1
+            for a in elems
+            for b in elems
+        ):
+            found.append(mask)
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def sublocales_by_subset_scan(omega):
+    """Reference oracle: the member masks of every sublocale of a frame, by
+    scanning all subsets for top, meet closure and closure under the
+    implication table, ordered by (member count, mask)."""
+    n = omega.n
+    imp = [[heyting_implication(omega, u, v) for v in range(n)] for u in range(n)]
+    members = []
+    for s in range(1 << n):
+        if not s >> omega.top & 1:
+            continue
+        elems = list(bits(s))
+        if not all(s >> omega.meet(a, b) & 1 for a in elems for b in elems):
+            continue
+        if not all(s >> imp[u][v] & 1 for u in range(n) for v in elems):
+            continue
+        members.append(s)
+    return sorted(members, key=lambda s: (s.bit_count(), s))
 
 
 def labels(lat, items):
@@ -148,6 +198,14 @@ class TestClosureOperator:
         for lat in carriers:
             for ts in enumerate_topologies(lat):
                 assert adherence_violation(lat, nu_of_C(ts).nutab) is None, ts
+
+    def test_equals_the_meet_over_all_closed_elements_above(self):
+        # oracle for the fold: the meet over the whole of up[l] & closed
+        for lat in distributive_carriers():
+            for ts in enumerate_topologies(lat):
+                assert nu_of_C(ts).nutab == tuple(
+                    lat.meet_of(bits(row & ts.closed)) for row in lat.up
+                ), ts
 
     def test_fixed_points_are_the_closed_elements(self):
         for name in ("BOOL2", "PX3"):
@@ -349,8 +407,24 @@ class TestEnumeration:
         assert sizes[0] == 2 and sizes[-1] == 8
 
     def test_budget(self):
+        # the budget bounds the number of topologies: BOOL4 has 355
+        lat = lattice_fixture("BOOL4")
         with pytest.raises(BudgetExceeded):
-            list(enumerate_topologies(lattice_fixture("BOOL4"), budget=1 << 10))
+            list(enumerate_topologies(lat, budget=354))
+        assert len(list(enumerate_topologies(lat, budget=355))) == 355
+
+    def test_powerset_counts_are_labelled_topologies(self):
+        # topologies on k labelled points, OEIS A000798
+        counts = [
+            sum(1 for _ in enumerate_topologies(powerset_lattice([str(i) for i in range(k)])))
+            for k in range(6)
+        ]
+        assert counts == [1, 1, 4, 29, 355, 6942]
+
+    def test_equals_the_subset_scan(self):
+        for lat in distributive_carriers():
+            got = [ts.closed for ts in enumerate_topologies(lat)]
+            assert got == topologies_by_subset_scan(lat), lat.name
 
 
 class TestHeyting:
@@ -447,6 +521,13 @@ class TestSublocales:
                         sl.closed_index[u], sl.closed_index[v]
                     )
 
+    def test_equals_the_subset_scan(self):
+        frames = [omega for omega in distributive_carriers() if omega.n <= 8]
+        for omega in frames:
+            assert list(sublocale_lattice(omega).masks) == sublocales_by_subset_scan(
+                omega
+            ), omega.name
+
     def test_open_and_closed_parts_complement(self):
         for omega in frame_fixtures():
             sl = sublocale_lattice(omega)
@@ -462,8 +543,10 @@ class TestSublocales:
                 assert lat.join(c, o) == lat.top
 
     def test_budget_and_distributivity_guards(self):
+        # P(8) has 8 primes, one above the cap; BOOL4's 4 primes give 16
         with pytest.raises(BudgetExceeded):
-            sublocale_lattice(lattice_fixture("BOOL4"))
+            sublocale_lattice(powerset_lattice([str(i) for i in range(8)]))
+        assert sublocale_lattice(lattice_fixture("BOOL4")).lattice.n == 16
         with pytest.raises(NotDistributive):
             sublocale_lattice(lattice_fixture("N5"))
 
