@@ -326,31 +326,53 @@ def space_fixture_names() -> tuple[str, ...]:
 # random generators (always driven by an explicit random.Random)
 
 
+def _draw_covers(
+    rng: random.Random, size: int, edge_prob: float = 0.4
+) -> tuple[tuple[int, int], ...]:
+    """Random cover pairs ``i < j`` on ``size`` points: one ``rng.random()``
+    per pair, in lexicographic order."""
+    pairs = ((i, j) for i in range(size) for j in range(i + 1, size))
+    return tuple(pair for pair in pairs if rng.random() < edge_prob)
+
+
+def _poset(size: int, covers: tuple[tuple[int, int], ...]) -> FinitePoset:
+    return poset_from_covers(tuple(f"p{i}" for i in range(size)), covers)
+
+
 def random_poset(rng: random.Random, size: int, edge_prob: float = 0.4) -> FinitePoset:
     """A random labeled poset: edges only go up in index order, so acyclic."""
-    labels = tuple(f"p{i}" for i in range(size))
-    covers = [
-        (labels[i], labels[j])
-        for i in range(size)
-        for j in range(i + 1, size)
-        if rng.random() < edge_prob
-    ]
-    return poset_from_covers(labels, covers)
+    return _poset(size, _draw_covers(rng, size, edge_prob))
 
 
 def random_downset_lattice(
-    rng: random.Random, max_elements: int = 8, max_poset: int = 4
+    rng: random.Random,
+    max_elements: int = 8,
+    max_poset: int = 4,
+    carriers: dict | None = None,
 ) -> FiniteLattice:
     """A random distributive lattice (downsets of a random small poset).
 
-    Posets are drawn until one has at most ``max_elements`` down-sets; the
-    down-sets are counted before the lattice is built, so a rejected draw
-    builds no carrier."""
+    Posets are drawn as by :func:`random_poset` until one has at most
+    ``max_elements`` down-sets.  ``carriers`` is a pool owned by the caller
+    (a fresh one when ``None``): it maps each draw ``(size, covers)`` to the
+    entry for the poset's down-rows, which holds the down-set count and the
+    carrier, built when a draw of that poset is first accepted.  So a
+    repeated draw builds nothing, equal posets share one carrier, and the
+    pool changes neither the draws nor the carriers returned."""
+    if carriers is None:
+        carriers = {}
     while True:
         size = rng.randint(2, max_poset)
-        poset = random_poset(rng, size)
-        if len(poset.downsets) <= max_elements:
-            return downset_lattice(poset)
+        key = (size, _draw_covers(rng, size))
+        entry = carriers.get(key)
+        if entry is None:
+            poset = _poset(*key)
+            entry = carriers.setdefault(poset.below, [len(poset.downsets), poset])
+            carriers[key] = entry
+        if entry[0] <= max_elements:
+            if isinstance(entry[1], FinitePoset):
+                entry[1] = downset_lattice(entry[1])
+            return entry[1]
 
 
 def random_antitone_table(

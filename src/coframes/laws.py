@@ -185,8 +185,9 @@ def _coframe_corpus(rng: random.Random, budget: int) -> list[tuple[str, FiniteLa
         for name in lattice_fixture_names()
         if name not in ("M3", "N5")
     ]
+    carriers: dict = {}
     for i in range(max(budget // 20, 2)):
-        corpus.append((f"random-{i}", random_downset_lattice(rng)))
+        corpus.append((f"random-{i}", random_downset_lattice(rng, carriers=carriers)))
     return corpus
 
 
@@ -260,8 +261,10 @@ def _grill_corpus(rng: random.Random, budget: int) -> list[tuple[str, FiniteLatt
         (name, lattice_fixture(name))
         for name in ("CHAIN2", "CHAIN3", "BOOL2", "PX3", "V5")
     ]
+    carriers: dict = {}
     for i in range(budget):
-        corpus.append((f"random-{i}", random_downset_lattice(rng, max_elements=8)))
+        lat = random_downset_lattice(rng, max_elements=8, carriers=carriers)
+        corpus.append((f"random-{i}", lat))
     return corpus
 
 
@@ -270,12 +273,16 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     corpus = _grill_corpus(rng, budget)
     if inject:
         corpus.append(("injected-M3", lattice_fixture("M3")))
+    # grill cannot raise, so each filter's grill is computed once per
+    # distinct carrier, here; filters[g] is generated by g, so grills[g] is
+    # its grill
+    per_carrier: dict[FiniteLattice, tuple[list[Filter], list[int]]] = {}
     for origin, lat in corpus:
         witness = {"origin": origin, "lattice": lat}
-        filters = all_filters(lat)
-        # grill cannot raise, so each filter's grill is computed once, here;
-        # filters[g] is generated by g, so grills[g] is its grill
-        grills = [grill(f).members for f in filters]
+        if lat not in per_carrier:
+            filters = all_filters(lat)
+            per_carrier[lat] = filters, [grill(f).members for f in filters]
+        filters, grills = per_carrier[lat]
         comp = analyze(lat).complemented
 
         def antitone(lat=lat, filters=filters, grills=grills):
@@ -373,13 +380,13 @@ _COMPLETION_KINDS = ("limit", "strict", "pretop")
 
 
 def _convergence_corpus(
-    rng: random.Random, budget: int
+    rng: random.Random, budget: int, carriers: dict
 ) -> list[tuple[str, ConvergenceStructure]]:
     corpus = [
         (name, convergence_fixture(name)) for name in convergence_fixture_names()
     ]
     for i in range(budget):
-        lat = random_downset_lattice(rng, max_elements=6)
+        lat = random_downset_lattice(rng, max_elements=6, carriers=carriers)
         corpus.append(
             (f"random-{i}", ConvergenceStructure(lat, random_antitone_table(rng, lat)))
         )
@@ -388,7 +395,7 @@ def _convergence_corpus(
 
 def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     rep = SuiteReport("convergence")
-    corpus = _convergence_corpus(rng, budget)
+    corpus = _convergence_corpus(rng, budget, {})
     if inject:
         corpus.append(_injected("convergence"))
     for origin, cs in corpus:
@@ -437,11 +444,12 @@ def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteRe
 
 def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     rep = SuiteReport("galois-adh")
+    carriers: dict = {}
     adh_corpus: list[tuple[str, AdherenceStructure]] = [
         (name, adherence_fixture(name)) for name in adherence_fixture_names()
     ]
     for i in range(budget):
-        lat = random_downset_lattice(rng, max_elements=8)
+        lat = random_downset_lattice(rng, max_elements=8, carriers=carriers)
         adh_corpus.append((f"random-nu-{i}", random_adherence_structure(rng, lat)))
     if inject:
         adh_corpus.append(_injected("galois-adh"))
@@ -456,7 +464,7 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
 
         rep._law("nu-roundtrip", witness, nu_roundtrip)
 
-    conv_corpus = _convergence_corpus(rng, budget)
+    conv_corpus = _convergence_corpus(rng, budget, carriers)
     for origin, cs in conv_corpus:
         witness = {"origin": origin, "structure": cs}
         lat = cs.lattice
@@ -487,7 +495,7 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
         rep._law("induced-adherence-axioms", witness, induced_axioms)
 
     for i in range(max(budget // 4, 4)):
-        lat = random_downset_lattice(rng, max_elements=6)
+        lat = random_downset_lattice(rng, max_elements=6, carriers=carriers)
         a = random_adherence_structure(rng, lat)
         b = random_adherence_structure(rng, lat)
         # the pointwise meet of two adherences need not be additive; its
@@ -559,7 +567,7 @@ def _suite_topology(rng: random.Random, budget: int, inject: bool) -> SuiteRepor
 
         rep._law("closed-of-convergence", witness, convergence_closed)
 
-    for origin, cs in _convergence_corpus(rng, max(budget // 4, 4)):
+    for origin, cs in _convergence_corpus(rng, max(budget // 4, 4), {}):
         witness = {"origin": origin, "structure": cs}
         lat = cs.lattice
 
@@ -617,7 +625,7 @@ def _suite_kow(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
 
             rep._law("preimage-continuity", witness, preimage_law)
 
-    corpus = _convergence_corpus(rng, max(budget // 4, 4))
+    corpus = _convergence_corpus(rng, max(budget // 4, 4), {})
     for origin, cs in corpus:
         witness = {"origin": origin, "structure": cs}
         lat = cs.lattice

@@ -341,8 +341,9 @@ def search_counterexample(
                 return result(f"enumerated:{lat.name}[{lat.n}]", cs)
 
     rng = random.Random(seed)
+    carriers: dict = {}
     for i in range(budget):
-        lat = random_downset_lattice(rng, max_elements=max(8, max_lattice))
+        lat = random_downset_lattice(rng, max(8, max_lattice), carriers=carriers)
         cs = _random_candidate(antecedent, rng, lat)
         structures += 1
         if conjecture.refuted_by(ClassFlags(cs)):

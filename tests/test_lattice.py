@@ -771,18 +771,43 @@ class TestRandomLattices:
         assert downset_lattice(poset).n == len(scan)
 
     def test_random_carriers_equal_build_then_reject(self):
-        # counting down-sets first keeps the draws of building every
-        # drawn poset and rejecting the large carriers
+        # counting down-sets first, and sharing one pool of carriers across
+        # calls with different bounds, keep the draws and the carriers of
+        # building every drawn poset and rejecting the large carriers
         a, b = random.Random(3), random.Random(3)
-        for _ in range(200):
-            lat = random_downset_lattice(a, max_elements=6)
-            while True:
-                ref = downset_lattice(random_poset(b, b.randint(2, 4)))
-                if ref.n <= 6:
-                    break
-            assert (lat.elements, lat.up) == (ref.elements, ref.up)
+        pool: dict = {}
+        pooled = []
+        for i in range(300):
+            max_elements, max_poset = (6, 4) if i % 3 else (8, 5)
+            for carriers in (None, pool):
+                lat = random_downset_lattice(a, max_elements, max_poset, carriers)
+                if carriers is pool:
+                    pooled.append(lat)
+                while True:
+                    ref = downset_lattice(random_poset(b, b.randint(2, max_poset)))
+                    if ref.n <= max_elements:
+                        break
+                assert (lat.name, lat.elements, lat.up, lat.down) == (
+                    ref.name, ref.elements, ref.up, ref.down
+                )
+                assert a.getstate() == b.getstate()
+        # a repeated poset is one carrier (the labels name the down-sets)
+        distinct = {lat.elements for lat in pooled}
+        assert len({id(lat) for lat in pooled}) == len(distinct) < len(pooled)
 
     def test_random_poset_generator_is_seeded(self):
         a = random_poset(random.Random(7), 4)
         b = random_poset(random.Random(7), 4)
         assert a.below == b.below
+
+    def test_random_poset_rows_are_pinned(self):
+        # the documents benchmark draws its carriers with random_poset
+        rng = random.Random(7)
+        assert [random_poset(rng, k).below for k in (2, 3, 4, 5)] == [
+            (1, 3), (1, 3, 7), (1, 2, 5, 11), (1, 3, 7, 11, 27)
+        ]
+        rng = random.Random(7)
+        assert [random_poset(rng, k, 0.7).below for k in (2, 3, 4, 5)] == [
+            (1, 3), (1, 3, 7), (1, 3, 7, 15), (1, 3, 7, 11, 31)
+        ]
+        assert rng.random() == 0.9762551055929201

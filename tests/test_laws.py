@@ -2,15 +2,24 @@
 detected, witnesses are re-checkable documents, and runs are deterministic
 in the seed."""
 
+import gc
 import json
+import weakref
 from collections import Counter
 
 import pytest
 
+import coframes.fixtures as fixtures
 import coframes.laws as laws
+import coframes.search as search
+from coframes import parse_conjecture
 from coframes.documents import structure_to_doc
 from coframes.errors import ConjectureError
-from coframes.fixtures import convergence_fixture_names, lattice_fixture
+from coframes.fixtures import (
+    convergence_fixture_names,
+    lattice_fixture,
+    lattice_fixture_names,
+)
 from coframes.laws import SuiteReport, Violation, run_all, run_suite, suite_names
 
 BUDGET = 40  # keeps the whole file fast while still exercising random corpora
@@ -50,9 +59,12 @@ class TestCleanCorpus:
         assert report.checks > 0
 
     def test_grill_suite_builds_each_grill_once_and_no_document(self, monkeypatch):
+        # one grill per filter per distinct carrier: equal random draws
+        # share a carrier, so its filters and grills are built once
         grills = Counter()
         documents = []
-        real_grill = laws.grill
+        corpora = []
+        real_grill, real_corpus = laws.grill, laws._grill_corpus
 
         def counting_grill(a):
             grills[a.lattice] += 1
@@ -62,18 +74,81 @@ class TestCleanCorpus:
             documents.append(obj)
             return structure_to_doc(obj)
 
+        def recorded_corpus(rng, budget):
+            corpora.append(real_corpus(rng, budget))
+            return corpora[-1]
+
         monkeypatch.setattr(laws, "grill", counting_grill)
         monkeypatch.setattr(laws, "structure_to_doc", counting_doc)
+        monkeypatch.setattr(laws, "_grill_corpus", recorded_corpus)
         report = run_suite("grill", seed=0, budget=10)
         assert report.passed and report.checks == 105
-        assert len(grills) == 15
-        assert all(calls <= 2 * lat.n for lat, calls in grills.items())
+        (corpus,) = corpora
+        assert len(corpus) == 15
+        assert set(grills) == {lat for _, lat in corpus}
+        assert len(grills) == 11
+        assert all(calls == lat.n for lat, calls in grills.items())
         assert documents == []
 
     def test_total_check_count_scales_with_budget(self):
         small = sum(r.checks for r in run_all(budget=5))
         large = sum(r.checks for r in run_all(budget=BUDGET))
         assert large > small
+
+
+DRAWING_SUITES = ("lattice", "grill", "convergence", "galois-adh", "topology", "kow")
+
+
+class TestCarrierPool:
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """Record every random carrier a suite receives and every carrier
+        the pool builds."""
+        for name in lattice_fixture_names():
+            lattice_fixture(name)  # cached on purpose: only random draws count
+        record = {"returned": [], "built": []}
+        real_draw, real_build = laws.random_downset_lattice, fixtures.downset_lattice
+
+        def draw(*args, **kwargs):
+            lat = real_draw(*args, **kwargs)
+            record["returned"].append(lat)
+            return lat
+
+        def build(poset, name=None):
+            record["built"].append(poset.below)
+            return real_build(poset, name)
+
+        monkeypatch.setattr(laws, "random_downset_lattice", draw)
+        monkeypatch.setattr(search, "random_downset_lattice", draw)
+        monkeypatch.setattr(fixtures, "downset_lattice", build)
+        return record
+
+    @pytest.mark.parametrize("name", DRAWING_SUITES)
+    def test_one_build_per_distinct_accepted_poset(self, name, drawn):
+        run_suite(name, seed=3, budget=120)
+        returned = drawn["returned"]
+        # the element labels name the down-sets, so they tell the posets apart
+        distinct = {lat.elements for lat in returned}
+        assert len({id(lat) for lat in returned}) == len(distinct)
+        assert len(drawn["built"]) == len(set(drawn["built"])) == len(distinct)
+        assert len(distinct) < len(returned)
+
+    def test_search_shares_one_pool_per_call(self, drawn):
+        conjecture = parse_conjecture("topological => pretopological")
+        result = search.search_counterexample(conjecture, max_lattice=1, budget=60)
+        returned = drawn["returned"]
+        assert result.outcome == "exhausted" and len(returned) == 60
+        distinct = {lat.elements for lat in returned}
+        assert len(drawn["built"]) == len(distinct) < len(returned)
+
+    @pytest.mark.parametrize("name", DRAWING_SUITES)
+    def test_pool_is_freed_with_the_suite(self, name, drawn):
+        report = run_suite(name, seed=3, budget=120)
+        assert report.passed
+        refs = [weakref.ref(lat) for lat in drawn["returned"]]
+        drawn["returned"].clear()
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
 
 
 class TestFaultInjection:
