@@ -14,10 +14,9 @@ construction (see :func:`_injected`).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Hashable
 
 from .adherence import (
     AdherenceStructure,
@@ -78,7 +77,6 @@ from .fixtures import (
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
-    _table_violation,
     _trusted,
     analyze,
     bits,
@@ -123,19 +121,34 @@ class SuiteReport:
         law: str,
         witness: dict[str, Any],
         evaluate: Callable[[], tuple[bool, str]],
+        verdicts: dict[tuple[str, Hashable], tuple[bool, str]] | None = None,
+        key: Hashable = None,
     ) -> None:
-        """Evaluate one law.  ``witness`` maps names to labels (strings) or
-        live engine objects; a violation records it with every object
-        replaced by its document (:func:`_doc`)."""
+        """Check one law on one corpus entry.  ``witness`` maps names to
+        labels (strings) or live engine objects; a violation records it with
+        every object replaced by its document (:func:`_doc`).
+
+        ``verdicts`` is a table owned by the suite run, and ``key`` is
+        everything the law reads of the entry: its carrier, or its carrier
+        and table.  A repeated draw reuses the verdict of its carrier or
+        structure, an "evaluation raised" verdict included, instead of
+        evaluating the law again.  The report still lists one check per
+        corpus entry, and a reused violation carries the entry's own
+        witness."""
         self.checks += 1
-        try:
-            ok, message = evaluate()
-        except Exception as err:  # a law that cannot be evaluated is broken
-            ok, message = False, f"evaluation raised {type(err).__name__}: {err}"
+        verdict = None if verdicts is None else verdicts.get((law, key))
+        if verdict is None:
+            try:
+                verdict = evaluate()
+            except Exception as err:  # a law that cannot be evaluated is broken
+                verdict = False, f"evaluation raised {type(err).__name__}: {err}"
+            if verdicts is not None:
+                verdicts[law, key] = verdict
+        ok, message = verdict
         if not ok:
             documented = {
-                key: value if isinstance(value, str) else _doc(value)
-                for key, value in witness.items()
+                name: value if isinstance(value, str) else _doc(value)
+                for name, value in witness.items()
             }
             self.violations.append(Violation(self.suite, law, message, documented))
 
@@ -205,6 +218,7 @@ def _distributive_by_triples(lat: FiniteLattice) -> bool:
 
 def _suite_lattice(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     rep = SuiteReport("lattice")
+    verdicts: dict = {}
     corpus = _coframe_corpus(rng, budget)
     if inject:
         corpus.append(("injected-M3", lattice_fixture("M3")))
@@ -217,7 +231,7 @@ def _suite_lattice(rng: random.Random, budget: int, inject: bool) -> SuiteReport
                 return False, f"analyze says distributive={fast}, the triple scan {literal}"
             return literal, "corpus lattice is not a coframe"
 
-        rep._law("distributive", witness, distributive)
+        rep._law("distributive", witness, distributive, verdicts, lat)
         rep._law(
             "dualize-involution",
             witness,
@@ -225,6 +239,8 @@ def _suite_lattice(rng: random.Random, budget: int, inject: bool) -> SuiteReport
                 dualize(dualize(lat)) is lat,
                 "dualizing twice did not return the same carrier",
             ),
+            verdicts,
+            lat,
         )
 
         def complement_law(lat=lat):
@@ -240,7 +256,7 @@ def _suite_lattice(rng: random.Random, budget: int, inject: bool) -> SuiteReport
                     return False, f"{lat.label(i)!r} and {lat.label(c)!r} are not complements"
             return True, ""
 
-        rep._law("complement-pairs", witness, complement_law)
+        rep._law("complement-pairs", witness, complement_law, verdicts, lat)
 
         def prime_duality(lat=lat):
             op = dualize(lat)
@@ -248,7 +264,7 @@ def _suite_lattice(rng: random.Random, budget: int, inject: bool) -> SuiteReport
             theirs = {op.label(p) for p in bits(analyze(op).meet_primes)}
             return mine == theirs, f"join primes {sorted(mine)} vs dual meet primes {sorted(theirs)}"
 
-        rep._law("prime-duality", witness, prime_duality)
+        rep._law("prime-duality", witness, prime_duality, verdicts, lat)
     return rep
 
 
@@ -270,6 +286,7 @@ def _grill_corpus(rng: random.Random, budget: int) -> list[tuple[str, FiniteLatt
 
 def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     rep = SuiteReport("grill")
+    verdicts: dict = {}
     corpus = _grill_corpus(rng, budget)
     if inject:
         corpus.append(("injected-M3", lattice_fixture("M3")))
@@ -296,7 +313,7 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
                         )
             return True, ""
 
-        rep._law("grill-antitone", witness, antitone)
+        rep._law("grill-antitone", witness, antitone, verdicts, lat)
 
         def mesh_law(lat=lat, filters=filters, grills=grills):
             for f in filters:
@@ -309,7 +326,7 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
                         )
             return True, ""
 
-        rep._law("grill-mesh", witness, mesh_law)
+        rep._law("grill-mesh", witness, mesh_law, verdicts, lat)
 
         def proper_law(lat=lat, filters=filters, grills=grills):
             for f, gf in zip(filters, grills):
@@ -317,7 +334,7 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
                     return False, f"properness of ^{lat.label(f.generator)!r} disagrees with self-meshing"
             return True, ""
 
-        rep._law("grill-proper", witness, proper_law)
+        rep._law("grill-proper", witness, proper_law, verdicts, lat)
 
         def prime_law(lat=lat, filters=filters, grills=grills):
             joins = [(a, b, lat.join(a, b)) for a in range(lat.n) for b in range(lat.n)]
@@ -330,7 +347,7 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
                         )
             return True, ""
 
-        rep._law("grill-prime", witness, prime_law)
+        rep._law("grill-prime", witness, prime_law, verdicts, lat)
 
         def pseudocomplement_law(lat=lat, filters=filters, grills=grills):
             # computed inside the evaluation: a carrier without
@@ -345,7 +362,7 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
                         )
             return True, ""
 
-        rep._law("grill-pseudocomplement", witness, pseudocomplement_law)
+        rep._law("grill-pseudocomplement", witness, pseudocomplement_law, verdicts, lat)
 
         def complemented_agreement(lat=lat, filters=filters, grills=grills, comp=comp):
             for f, gf in zip(filters, grills):
@@ -357,7 +374,7 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
                         )
             return True, ""
 
-        rep._law("grill-complemented-agreement", witness, complemented_agreement)
+        rep._law("grill-complemented-agreement", witness, complemented_agreement, verdicts, lat)
 
         def restriction_law(lat=lat, filters=filters, grills=grills, comp=comp):
             for f, gf in zip(filters, grills):
@@ -368,7 +385,7 @@ def _suite_grill(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
                     return False, f"restriction changed the complemented grill of ^{lat.label(f.generator)!r}"
             return True, ""
 
-        rep._law("grill-restriction", witness, restriction_law)
+        rep._law("grill-restriction", witness, restriction_law, verdicts, lat)
     return rep
 
 
@@ -395,12 +412,14 @@ def _convergence_corpus(
 
 def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     rep = SuiteReport("convergence")
+    verdicts: dict = {}
     corpus = _convergence_corpus(rng, budget, {})
     if inject:
         corpus.append(_injected("convergence"))
     for origin, cs in corpus:
         witness = {"origin": origin, "structure": cs}
         lat = cs.lattice
+        key = lat, cs.limtab
 
         def implications(cs=cs):
             flags = classify(cs)
@@ -408,12 +427,22 @@ def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteRe
                 return False, "topological but not pretopological"
             return True, ""
 
-        rep._law("classification-implications", witness, implications)
+        rep._law("classification-implications", witness, implications, verdicts, key)
+
+        stable: dict[str, ConvergenceStructure] = {}
+
+        def fixed_point(kind, cs=cs, stable=stable):
+            # computed by the first law that needs it and shared by the
+            # others; a call that raises stores nothing, so every law that
+            # needs it records its own "evaluation raised" verdict
+            if kind not in stable:
+                stable[kind] = s_infinity(cs, kind)
+            return stable[kind]
 
         for kind in _COMPLETION_KINDS:
-            def completion(cs=cs, kind=kind, lat=lat):
+            def completion(cs=cs, kind=kind, lat=lat, fixed_point=fixed_point):
                 once = s1(cs, kind)
-                stable = s_infinity(cs, kind)
+                stable = fixed_point(kind)
                 for g in range(lat.n):
                     if not lat.leq(cs.limtab[g], once.limtab[g]):
                         return False, f"{kind} completion shrank the limit of ^{lat.label(g)!r}"
@@ -421,20 +450,20 @@ def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteRe
                     return False, f"iterated {kind} completion is not a fixed point"
                 return True, ""
 
-            rep._law(f"completion-{kind}", witness, completion)
+            rep._law(f"completion-{kind}", witness, completion, verdicts, key)
 
-        def fixed_points(cs=cs):
+        def fixed_points(cs=cs, fixed_point=fixed_point):
             flags = classify(cs)
             for kind, flag in (
                 ("limit", flags.limit),
                 ("strict", flags.strict),
                 ("pretop", flags.pretopological),
             ):
-                if (s_infinity(cs, kind).limtab == cs.limtab) != flag:
+                if (fixed_point(kind).limtab == cs.limtab) != flag:
                     return False, f"being a {kind} fixed point disagrees with classification"
             return True, ""
 
-        rep._law("completion-fixed-points", witness, fixed_points)
+        rep._law("completion-fixed-points", witness, fixed_points, verdicts, key)
     return rep
 
 
@@ -444,6 +473,7 @@ def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteRe
 
 def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
     rep = SuiteReport("galois-adh")
+    verdicts: dict = {}
     carriers: dict = {}
     adh_corpus: list[tuple[str, AdherenceStructure]] = [
         (name, adherence_fixture(name)) for name in adherence_fixture_names()
@@ -462,12 +492,13 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
                 "adherence of the induced convergence differs from the original"
             )
 
-        rep._law("nu-roundtrip", witness, nu_roundtrip)
+        rep._law("nu-roundtrip", witness, nu_roundtrip, verdicts, (ns.lattice, ns.nutab))
 
     conv_corpus = _convergence_corpus(rng, budget, carriers)
     for origin, cs in conv_corpus:
         witness = {"origin": origin, "structure": cs}
         lat = cs.lattice
+        key = lat, cs.limtab
 
         def lim_unit(cs=cs, lat=lat):
             back = lim_of_nu(adh_structure_of(cs))
@@ -476,7 +507,7 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
                     return False, f"round trip shrank the limit of ^{lat.label(g)!r}"
             return True, ""
 
-        rep._law("lim-unit", witness, lim_unit)
+        rep._law("lim-unit", witness, lim_unit, verdicts, key)
 
         def lim_roundtrip(cs=cs):
             flags = classify(cs)
@@ -486,13 +517,13 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
                 "round-trip equality disagrees with classical+pretopological"
             )
 
-        rep._law("lim-roundtrip-classical-pretop", witness, lim_roundtrip)
+        rep._law("lim-roundtrip-classical-pretop", witness, lim_roundtrip, verdicts, key)
 
         def induced_axioms(cs=cs):
             violation = adherence_violation(cs.lattice, adh_structure_of(cs).nutab)
             return violation is None, f"the induced adherence breaks {violation}"
 
-        rep._law("induced-adherence-axioms", witness, induced_axioms)
+        rep._law("induced-adherence-axioms", witness, induced_axioms, verdicts, key)
 
     for i in range(max(budget // 4, 4)):
         lat = random_downset_lattice(rng, max_elements=6, carriers=carriers)
@@ -516,7 +547,9 @@ def _suite_galois_adh(rng: random.Random, budget: int, inject: bool) -> SuiteRep
                     return False, f"smaller adherence gave a larger limit at ^{lat.label(g)!r}"
             return True, ""
 
-        rep._law("monotone-nu-to-lim", witness, monotone)
+        rep._law(
+            "monotone-nu-to-lim", witness, monotone, verdicts, (lat, lo.nutab, a.nutab)
+        )
     return rep
 
 
@@ -567,6 +600,7 @@ def _suite_topology(rng: random.Random, budget: int, inject: bool) -> SuiteRepor
 
         rep._law("closed-of-convergence", witness, convergence_closed)
 
+    verdicts: dict = {}
     for origin, cs in _convergence_corpus(rng, max(budget // 4, 4), {}):
         witness = {"origin": origin, "structure": cs}
         lat = cs.lattice
@@ -582,7 +616,9 @@ def _suite_topology(rng: random.Random, budget: int, inject: bool) -> SuiteRepor
                 return False, "modification output is not topological"
             return True, ""
 
-        rep._law("topological-modification", witness, modification)
+        rep._law(
+            "topological-modification", witness, modification, verdicts, (lat, cs.limtab)
+        )
     return rep
 
 
@@ -625,10 +661,12 @@ def _suite_kow(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
 
             rep._law("preimage-continuity", witness, preimage_law)
 
+    verdicts: dict = {}
     corpus = _convergence_corpus(rng, max(budget // 4, 4), {})
     for origin, cs in corpus:
         witness = {"origin": origin, "structure": cs}
         lat = cs.lattice
+        key = lat, cs.limtab
 
         def bullet_laws(cs=cs, lat=lat):
             full = (1 << len(points(cs))) - 1
@@ -642,7 +680,7 @@ def _suite_kow(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
                         return False, f"point set of {lat.label(a)!r} ^ {lat.label(b)!r} is not the intersection"
             return True, ""
 
-        rep._law("point-set-lattice", witness, bullet_laws)
+        rep._law("point-set-lattice", witness, bullet_laws, verdicts, key)
 
         def kow_laws(cs=cs, lat=lat):
             pts = points(cs)
@@ -659,7 +697,7 @@ def _suite_kow(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
                     return False, f"point {lat.label(p)!r} is not a limit of its own filter"
             return True, ""
 
-        rep._law("filter-pullback", witness, kow_laws)
+        rep._law("filter-pullback", witness, kow_laws, verdicts, key)
 
         def counit_law(cs=cs):
             from .duality import P_space
@@ -668,7 +706,7 @@ def _suite_kow(rng: random.Random, budget: int, inject: bool) -> SuiteReport:
             report = check_continuity(eps, cs, P_space(pt_space(cs)))
             return report.continuous and report.final, "the counit is not a final continuous map"
 
-        rep._law("counit-final", witness, counit_law)
+        rep._law("counit-final", witness, counit_law, verdicts, key)
     return rep
 
 
@@ -684,23 +722,49 @@ def star_extension_unique(
 ) -> tuple[bool, str]:
     """The uniqueness half of :func:`~coframes.topology.star`: no coframe
     morphism other than ``extension`` agrees with it on the closed
-    sublocales.  Scans every table that keeps those values, so the cost is
-    the target size to the power of the number of other sublocales; meant
-    for small inputs."""
-    target = extension.target
+    sublocales.  A depth-first search over the values of the other
+    sublocales, in index order with values ascending, so it meets the
+    tables in the lexicographic order of a scan over all of them and
+    reports the same first second morphism.  A prefix is pruned as soon as
+    a bound, or a meet or join among its assigned sublocales, breaks; in
+    the worst case the cost is still the target size to the power of the
+    number of other sublocales, so it is meant for small inputs."""
+    src, target = sl.lattice, extension.target
     forced = set(sl.closed_index)
-    free = [i for i in range(sl.lattice.n) if i not in forced]
-    for combo in itertools.product(range(target.n), repeat=len(free)):
-        table = list(extension.values)
-        for i, v in zip(free, combo):
-            table[i] = v
-        if tuple(table) == extension.values:
-            continue
-        if _table_violation(sl.lattice, target, table, "coframe") is None:
-            return False, (
-                f"a second morphism {tuple(table)} agrees on the closed "
-                f"sublocales with {extension.values}"
-            )
+    free = [i for i in range(src.n) if i not in forced]
+    # depth[i]: how many free sublocales are assigned once i is, 0 if forced
+    depth = [0] * src.n
+    for d, i in enumerate(free, 1):
+        depth[i] = d
+    # due[d]: the laws (x, y, r, op) meaning table[r] == op(table[x], table[y])
+    # that become decidable at depth d; a bound is op returning the constant
+    due: list[list] = [[] for _ in range(len(free) + 1)]
+    for x, value in ((src.bottom, target.bottom), (src.top, target.top)):
+        due[depth[x]].append((x, x, x, lambda a, b, value=value: value))
+    for x in range(src.n):
+        for y in range(x, src.n):
+            for r, op in ((src.meet(x, y), target.meet), (src.join(x, y), target.join)):
+                due[max(depth[x], depth[y], depth[r])].append((x, y, r, op))
+    table = list(extension.values)
+
+    def second(d: int) -> tuple[int, ...] | None:
+        if any(table[r] != op(table[x], table[y]) for x, y, r, op in due[d]):
+            return None
+        if d == len(free):
+            return None if tuple(table) == extension.values else tuple(table)
+        for v in range(target.n):
+            table[free[d]] = v
+            found = second(d + 1)
+            if found is not None:
+                return found
+        return None
+
+    found = second(0)
+    if found is not None:
+        return False, (
+            f"a second morphism {found} agrees on the closed "
+            f"sublocales with {extension.values}"
+        )
     return True, ""
 
 

@@ -384,7 +384,7 @@ def star(
     :class:`StarFormulaMismatch` and is never patched over.  The morphism
     laws and uniqueness of the result are theorems, checked in the test
     suite (on every result of its corpus) and by the ``locale`` law suite's
-    exhaustive scan (``star-extension-unique``).
+    exhaustive search (``star-extension-unique``).
     """
     omega = sl.frame
     if len(values) != omega.n:

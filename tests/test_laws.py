@@ -142,13 +142,129 @@ class TestCarrierPool:
         assert len(drawn["built"]) == len(distinct) < len(returned)
 
     @pytest.mark.parametrize("name", DRAWING_SUITES)
-    def test_pool_is_freed_with_the_suite(self, name, drawn):
+    def test_pool_is_freed_with_the_suite(self, name, drawn, monkeypatch):
+        # the random carriers and the random corpus members, structures
+        # included, all die with the run: no verdict table outlives it
+        members = []
+        real_law = SuiteReport._law
+
+        def recording(self, law, witness, *args):
+            if witness.get("origin", "").startswith(("random", "monotone")):
+                members.extend(
+                    weakref.ref(v) for v in witness.values() if not isinstance(v, str)
+                )
+            real_law(self, law, witness, *args)
+
+        monkeypatch.setattr(SuiteReport, "_law", recording)
         report = run_suite(name, seed=3, budget=120)
         assert report.passed
-        refs = [weakref.ref(lat) for lat in drawn["returned"]]
+        refs = [weakref.ref(lat) for lat in drawn["returned"]] + members
         drawn["returned"].clear()
         gc.collect()
         assert refs and all(ref() is None for ref in refs)
+
+
+def _every_entry_evaluated(monkeypatch):
+    """Make every law run on every corpus entry: the key is dropped, so no
+    verdict is reused."""
+    real_law = SuiteReport._law
+
+    def unkeyed(self, law, witness, evaluate, verdicts=None, key=None):
+        real_law(self, law, witness, evaluate)
+
+    monkeypatch.setattr(SuiteReport, "_law", unkeyed)
+
+
+class TestVerdictReuse:
+    @pytest.mark.parametrize("name", EXPECTED_SUITES)
+    @pytest.mark.parametrize(
+        "seed, budget, inject", [(0, 10, True), (3, 120, False)]
+    )
+    def test_reports_equal_evaluating_every_entry(
+        self, name, seed, budget, inject, monkeypatch
+    ):
+        shipped = run_suite(name, seed=seed, budget=budget, inject_fault=inject)
+        _every_entry_evaluated(monkeypatch)
+        every = run_suite(name, seed=seed, budget=budget, inject_fault=inject)
+        assert shipped.checks == every.checks
+        assert [(v.law, v.message, v.witness) for v in shipped.violations] == [
+            (v.law, v.message, v.witness) for v in every.violations
+        ]
+
+    @pytest.mark.parametrize("name", DRAWING_SUITES)
+    def test_key_holds_everything_the_law_reads(self, name, monkeypatch):
+        # every law fails with the documents of the members it was handed,
+        # so a verdict reused across entries that differ shows in the report
+        real_law = SuiteReport._law
+
+        def revealing(self, law, witness, evaluate, verdicts=None, key=None):
+            def reveal():
+                members = [laws._doc(v) for v in witness.values() if not isinstance(v, str)]
+                return False, json.dumps([evaluate(), members], sort_keys=True)
+
+            real_law(self, law, witness, reveal, verdicts, key)
+
+        monkeypatch.setattr(SuiteReport, "_law", revealing)
+        shipped = run_suite(name, seed=3, budget=120)
+        _every_entry_evaluated(monkeypatch)
+        every = run_suite(name, seed=3, budget=120)
+        assert len(shipped.violations) == shipped.checks == every.checks
+        assert [(v.law, v.message) for v in shipped.violations] == [
+            (v.law, v.message) for v in every.violations
+        ]
+
+    @pytest.mark.parametrize("name", DRAWING_SUITES)
+    def test_each_law_is_evaluated_once_per_key(self, name, monkeypatch):
+        checks, evaluations = Counter(), Counter()
+        real_law = SuiteReport._law
+
+        def counting(self, law, witness, evaluate, verdicts=None, key=None):
+            def counted():
+                evaluations[law, key] += 1
+                return evaluate()
+
+            if verdicts is not None:
+                checks[law, key] += 1
+            real_law(self, law, witness, counted, verdicts, key)
+
+        monkeypatch.setattr(SuiteReport, "_law", counting)
+        run_suite(name, seed=3, budget=120, inject_fault=True)
+        keyed = set(checks)
+        assert keyed and {k: evaluations[k] for k in keyed} == dict.fromkeys(keyed, 1)
+        # repeated draws exist, and each is a check that reused a verdict
+        assert sum(checks.values()) > len(checks)
+
+    def test_each_structure_completes_once_per_kind(self, monkeypatch):
+        # completion-{kind} and completion-fixed-points share one s_infinity
+        calls = Counter()
+        real = laws.s_infinity
+
+        def counting(cs, kind):
+            calls[cs.lattice, cs.limtab, kind] += 1
+            return real(cs, kind)
+
+        monkeypatch.setattr(laws, "s_infinity", counting)
+        assert run_suite("convergence", seed=3, budget=120).passed
+        assert calls and set(calls.values()) == {1}
+
+    def test_a_raising_completion_fails_every_law_that_needs_it(self, monkeypatch):
+        # a fixed point that raises is not kept: each law records its own
+        # "evaluation raised" verdict
+        def broken(cs, kind):
+            raise ValueError(kind)
+
+        monkeypatch.setattr(laws, "s_infinity", broken)
+        report = run_suite("convergence", seed=3, budget=5)
+        first = report.violations[0].witness["origin"]
+        assert [
+            (v.law, v.message) for v in report.violations if v.witness["origin"] == first
+        ] == [
+            ("completion-limit", "evaluation raised ValueError: limit"),
+            ("completion-strict", "evaluation raised ValueError: strict"),
+            ("completion-pretop", "evaluation raised ValueError: pretop"),
+            ("completion-fixed-points", "evaluation raised ValueError: limit"),
+        ]
+        assert len(report.violations) == 4 * (report.checks // 5)
 
 
 class TestFaultInjection:

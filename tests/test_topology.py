@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -65,6 +66,27 @@ from coframes.lattice import (
     morphism_violation,
     powerset_lattice,
 )
+
+
+def star_extension_unique_by_scan(sl, extension):
+    """The oracle for :func:`star_extension_unique`: every table that keeps
+    the values on the closed sublocales, in lexicographic order over the
+    other sublocales, checked with the morphism laws."""
+    target = extension.target
+    forced = set(sl.closed_index)
+    free = [i for i in range(sl.lattice.n) if i not in forced]
+    for combo in itertools.product(range(target.n), repeat=len(free)):
+        table = list(extension.values)
+        for i, v in zip(free, combo):
+            table[i] = v
+        if tuple(table) == extension.values:
+            continue
+        if _table_violation(sl.lattice, target, table, "coframe") is None:
+            return False, (
+                f"a second morphism {tuple(table)} agrees on the closed "
+                f"sublocales with {extension.values}"
+            )
+    return True, ""
 
 
 def frame_fixtures():
@@ -598,8 +620,9 @@ class TestStar:
             assert phi.values[sl.closed_index[u]] == values[u]
 
     def test_extension_is_unique(self):
-        # the exhaustive scan over tables agreeing on closed sublocales, on
-        # the frame-map cases above and every topology fixture's collapse
+        # the pruned search and the exhaustive scan over tables agreeing on
+        # closed sublocales, on the frame-map cases above and every topology
+        # fixture's collapse
         omega = lattice_fixture("BOOL2")
         sl = sublocale_lattice(omega)
         cases = [(sl, star(sl, omega, list(range(omega.n))))]
@@ -610,10 +633,11 @@ class TestStar:
         cases += [sublocale_counit(topology_fixture(n)) for n in topology_fixture_names()]
         for sl, extension in cases:
             assert star_extension_unique(sl, extension) == (True, ""), extension
+            assert star_extension_unique_by_scan(sl, extension) == (True, "")
 
     def test_uniqueness_scan_finds_the_true_extension(self):
         # a table that agrees on closed sublocales but is not the extension
-        # is caught: the scan meets the genuine morphism
+        # is caught: the search meets the genuine morphism, as the scan does
         sl, collapse = sublocale_counit(topology_fixture("PX3_TOP"))
         free = next(i for i in range(sl.lattice.n) if i not in sl.closed_index)
         wrong = list(collapse.values)
@@ -626,7 +650,27 @@ class TestStar:
             kind="coframe",
         )
         ok, message = star_extension_unique(sl, forged)
-        assert not ok and "second morphism" in message
+        assert not ok and f"a second morphism {collapse.values} " in message
+        assert (ok, message) == star_extension_unique_by_scan(sl, forged)
+
+    def test_search_meets_second_morphisms_in_scan_order(self):
+        # with only some closed sublocales forced, several morphisms agree
+        # on them; the search reports the scan's first one
+        omega = lattice_fixture("BOOL2")
+        sl = sublocale_lattice(omega)
+        cases = [(sl, star(sl, omega, list(range(omega.n))))]
+        cases += [
+            sublocale_counit(topology_fixture(n))
+            for n in ("SIERP_TOP", "DISCRETE_TOP", "INDISCRETE_TOP")
+        ]
+        second = 0
+        for sl, extension in cases:
+            for k in range(len(sl.closed_index) + 1):
+                fewer = dataclasses.replace(sl, closed_index=sl.closed_index[:k])
+                got = star_extension_unique(fewer, extension)
+                assert got == star_extension_unique_by_scan(fewer, extension)
+                second += not got[0]
+        assert second >= 6
 
 
 class TestSublocaleFunctor:
