@@ -243,31 +243,6 @@ def check_adh_continuity(
     )
 
 
-def _antichains(lattice: FiniteLattice, members: Sequence[int]) -> Iterable[int]:
-    """Bitmasks over ``members`` indices forming antichains in the lattice."""
-    order = list(members)
-    k = len(order)
-    comparable = []
-    for i in range(k):
-        mask = 0
-        for j in range(k):
-            if i != j and (
-                lattice.leq(order[i], order[j]) or lattice.leq(order[j], order[i])
-            ):
-                mask |= 1 << j
-        comparable.append(mask)
-
-    def walk(idx: int, chosen: int, blocked: int) -> Iterable[int]:
-        if idx == k:
-            yield chosen
-            return
-        yield from walk(idx + 1, chosen, blocked)
-        if not blocked >> idx & 1:
-            yield from walk(idx + 1, chosen | 1 << idx, blocked | comparable[idx])
-
-    yield from walk(0, 0, 0)
-
-
 def final_lift_adh(
     lattice: FiniteLattice,
     sink: Sequence[tuple[LatticeMorphism, AdherenceStructure]],
@@ -278,9 +253,13 @@ def final_lift_adh(
     Each complemented element receives a contribution: the infimum over the
     sink of the images of the adherences of its inverse images.  The lifted
     adherence of an element is the infimum, over families of complemented
-    elements joining above it, of the joins of their contributions; it
-    suffices to range over antichains, since dropping a dominated family
-    member keeps the join constraint while shrinking the term.  The empty
+    elements joining above it, of the joins of their contributions.
+    Contributions are monotone, so each bounds the join of those at the
+    complemented atoms below it, and every complemented atom below a join
+    of complemented elements lies below one of them.  So the least term is
+    the join over the atoms below the least complemented element above,
+    and the lift is :func:`adherence_from_atom_values` of the contributions
+    at the complemented atoms: one meet per atom and sink entry.  The empty
     sink yields the chaotic structure (bottom at bottom, top elsewhere).
     """
     adjoints = []
@@ -288,28 +267,13 @@ def final_lift_adh(
         require_same_carrier(phi.target, lattice, "final lift target")
         require_same_carrier(phi.source, ns.lattice, "final lift source")
         adjoints.append(left_adjoint(phi))
-    comp_elems = list(bits(analyze(lattice).complemented))
-    contrib = {
-        a: lattice.meet_of(
-            phi.values[ns.nutab[adj.values[a]]]
-            for (phi, ns), adj in zip(sink, adjoints)
+    values = [
+        lattice.meet_of(
+            phi.values[ns.nutab[adj.values[t]]] for (phi, ns), adj in zip(sink, adjoints)
         )
-        for a in comp_elems
-    }
-    best = [None] * lattice.n
-    for chosen in _antichains(lattice, comp_elems):
-        family = [comp_elems[i] for i in bits(chosen)]
-        j = lattice.join_of(family)
-        term = lattice.join_of(contrib[a] for a in family)
-        best[j] = term if best[j] is None else lattice.meet(best[j], term)
-    tab = []
-    for l in range(lattice.n):
-        tab.append(
-            lattice.meet_of(
-                best[j] for j in bits(lattice.up[l]) if best[j] is not None
-            )
-        )
-    return AdherenceStructure(lattice, tuple(tab))
+        for t in complemented_atoms(lattice)
+    ]
+    return adherence_from_atom_values(lattice, values)
 
 
 # ---------------------------------------------------------------------------

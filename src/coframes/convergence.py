@@ -7,8 +7,9 @@ generator: ``limtab[g]`` is the limit of the filter of elements above ``g``.
 
 The module provides classification (classical / limit / strict /
 pretopological / centered / topological), continuity and finality of coframe
-morphisms, the one-step and iterated modifications that complete a structure
-into a limit (or pretopological) one, final lifts along sinks, and points.
+morphisms, the one-step completion and its least fixed point, which complete
+a structure into a limit (or pretopological) one, final lifts along sinks,
+and points.
 A structure builds its adherence tables, closed elements and points on first
 use and keeps them.
 """
@@ -16,9 +17,9 @@ use and keeps them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import AxiomViolation, IterationBound, UnknownKind
+from .errors import AxiomViolation, UnknownKind
 from .filters import Filter
 from .lattice import (
     FiniteLattice,
@@ -311,7 +312,7 @@ def check_continuity(
 
 
 # ---------------------------------------------------------------------------
-# one-step and iterated modifications
+# completions
 
 S1_KINDS = ("limit", "strict", "strict_limit", "pretop")
 
@@ -325,53 +326,49 @@ def s1(cs: ConvergenceStructure, kind: str) -> ConvergenceStructure:
     - ``strict_limit`` / ``pretop``: join over arbitrary families whose
       intersection refines ``f`` (on finite carriers these two coincide; the
       empty family only covers the improper filter and contributes top).
-      Since the table is antitone and every join-irreducible is join-prime,
-      that join is top at bottom, the input's limit at each join-irreducible,
-      and elsewhere the infimum of the new limits at two lower covers
-      (``FiniteLattice.splits``, in rank order): O(n) meets.
 
-    The result is pointwise above the input and antitone (a trusted build);
-    iterating reaches the least fixed point (see :func:`s_infinity`).
+    For ``strict``, ``strict_limit`` and ``pretop`` one step already reaches
+    the least fixed point, so those kinds are :func:`s_infinity`'s closed
+    form.  The ``limit`` step is the pair scan above, O(n²) joins and
+    meets; the result is pointwise above the input and antitone (a trusted
+    build).
     """
+    if kind != "limit":
+        return s_infinity(cs, kind)
     lat, tab = cs.lattice, cs.limtab
     n = lat.n
-    if kind in ("strict", "strict_limit", "pretop"):
-        new = list(tab)
-        new[lat.bottom] = lat.top
-        if kind != "strict":
-            meet = lat.meet
-            for x, a, b in lat.splits:
-                new[x] = meet(new[a], new[b])
-        return _trusted(ConvergenceStructure, lattice=lat, limtab=tuple(new))
-    if kind == "limit":
-        contrib = [lat.bottom] * n
-        for g in range(n):
-            for h in range(g, n):
-                j = lat.join(g, h)
-                contrib[j] = lat.join(contrib[j], lat.meet(tab[g], tab[h]))
-        new = tuple(
-            lat.join_of(contrib[j] for j in bits(lat.up[f])) for f in range(n)
-        )
-        return _trusted(ConvergenceStructure, lattice=lat, limtab=new)
-    raise UnknownKind(f"unknown completion kind {kind!r}; expected one of {S1_KINDS}")
+    contrib = [lat.bottom] * n
+    for g in range(n):
+        for h in range(g, n):
+            j = lat.join(g, h)
+            contrib[j] = lat.join(contrib[j], lat.meet(tab[g], tab[h]))
+    new = tuple(lat.join_of(contrib[j] for j in bits(lat.up[f])) for f in range(n))
+    return _trusted(ConvergenceStructure, lattice=lat, limtab=new)
 
 
 def s_infinity(cs: ConvergenceStructure, kind: str) -> ConvergenceStructure:
-    """Iterate :func:`s1` to its least fixed point above the input.
+    """The least fixed point of :func:`s1` above the input, the least
+    structure of the given class above it, in one O(n) pass.
 
-    Each step is inflationary and monotone, so the iteration is a Kleene
-    chain; it must stabilize within ``n**2 + 2`` steps (every entry can only
-    climb along a chain in the carrier), and a failure to do so is an
-    internal-bug guard, not an input error.
+    The bottom becomes top for every kind but ``limit``; for every kind
+    but ``strict``, each split ``x = a ∨ b`` (``FiniteLattice.splits``, in
+    rank order) takes ``new(a) ∧ new(b)``, and the join-irreducibles keep
+    the input's limit.  On a distributive carrier an antitone table obeys
+    the limit law iff it does at the splits, and by induction along the
+    rank order every member of the class above the input lies above these
+    values (a trusted build).
     """
-    bound = cs.lattice.n * cs.lattice.n + 2
-    current = cs
-    for _ in range(bound):
-        step = s1(current, kind)
-        if step.limtab == current.limtab:
-            return current
-        current = step
-    raise IterationBound(f"completion {kind!r} did not stabilize in {bound} steps")
+    if kind not in S1_KINDS:
+        raise UnknownKind(f"unknown completion kind {kind!r}; expected one of {S1_KINDS}")
+    lat = cs.lattice
+    new = list(cs.limtab)
+    if kind != "limit":
+        new[lat.bottom] = lat.top
+    if kind != "strict":
+        meet = lat.meet
+        for x, a, b in lat.splits:
+            new[x] = meet(new[a], new[b])
+    return _trusted(ConvergenceStructure, lattice=lat, limtab=tuple(new))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from .lattice import (
     subset_label,
     subset_mask,
 )
-from .topology import TopologicalStructure, topological_modification, wedge_C
+from .topology import TopologicalStructure, topological_modification
 
 __all__ = [
     "FiniteConvergenceSpace",
@@ -393,8 +393,8 @@ def modify_space(
     space: FiniteConvergenceSpace, kind: str
 ) -> FiniteConvergenceSpace:
     """The coarsest-fix modifications at space level: ``lim`` and ``pretop``
-    iterate the one-step completion of the powerset structure; ``top``
-    rebuilds convergence from the closed sets."""
+    take the least completion (:func:`s_infinity`) of the powerset
+    structure; ``top`` rebuilds convergence from the closed sets."""
     cs = P_space(space)
     if kind == "lim":
         out = s_infinity(cs, "limit")
@@ -551,9 +551,8 @@ def pt_top(ts: TopologicalStructure) -> FiniteTopologicalSpace:
     pts = list(bits(analyze(lat).join_primes))
     labels = tuple(lat.label(p) for p in pts)
     _check_point_count(labels)
-    wedge, mapping = wedge_C(ts)
     family = set()
-    for c in mapping:
+    for c in bits(ts.closed):
         mask = 0
         for i, p in enumerate(pts):
             if lat.leq(p, c):

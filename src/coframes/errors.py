@@ -68,7 +68,9 @@ class StarFormulaMismatch(EngineError):
 
 
 class IterationBound(EngineError):
-    """A fixed-point iteration exceeded its theoretical bound (internal bug guard)."""
+    """A fixed-point iteration exceeded its theoretical bound.
+
+    No longer raised: the completions are closed forms; kept exported."""
 
 
 class NotPretopological(EngineError):

@@ -21,7 +21,6 @@ from .errors import DocumentError
 from .lattice import (
     FiniteLattice,
     FinitePoset,
-    bits,
     build_lattice,
     downset_lattice,
     poset_from_covers,
@@ -387,13 +386,13 @@ def random_antitone_table(
     nothing from ``rng``.
     """
     table = [0] * lattice.n
-    covers = lattice.covers
+    covers, members = lattice.covers, lattice.down_members
     for h in lattice.rank_order():
         bound = lattice.meet_of(table[g] for g in covers[h])
         if pretopological and len(covers[h]) != 1:
             table[h] = bound
         else:
-            table[h] = rng.choice(list(bits(lattice.down[bound])))
+            table[h] = rng.choice(members[bound])
     return tuple(table)
 
 
@@ -413,7 +412,7 @@ def enumerate_antitone_tables(
 
     ``pretopological`` fixes the value at every element that is not
     join-irreducible to that meet: top at the bottom, and ``t(a) ^ t(b)`` at
-    each ``x = a v b`` (the closed form of ``s1(..., "pretop")``).  The
+    each ``x = a v b`` (the recurrence of ``s_infinity(..., "pretop")``).  The
     tables stay antitone on any carrier; on a distributive one they are
     exactly the pretopological tables, one per antitone map from the
     join-irreducibles, whose value at a join-irreducible ranges over the
@@ -421,7 +420,7 @@ def enumerate_antitone_tables(
     branch, so a table costs O(n)."""
     order = lattice.rank_order()
     covers = lattice.covers
-    members = [tuple(bits(below)) for below in lattice.down]
+    members = lattice.down_members
     fixed = [pretopological and len(covers[h]) != 1 for h in order]
     table = [0] * lattice.n
 

@@ -305,6 +305,12 @@ class FiniteLattice:
         return tuple(out)
 
     @derived
+    def down_members(self) -> tuple[tuple[int, ...], ...]:
+        """``down_members[j]``: the elements below ``j`` (``j`` included), in
+        increasing index order."""
+        return tuple(tuple(bits(below)) for below in self.down)
+
+    @derived
     def splits(self) -> tuple[tuple[int, int, int], ...]:
         """``(x, a, b)`` for each ``x`` with two or more lower covers, where
         ``a`` and ``b`` are its first two (so ``x = a v b``), in rank order.

@@ -429,20 +429,10 @@ def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteRe
 
         rep._law("classification-implications", witness, implications, verdicts, key)
 
-        stable: dict[str, ConvergenceStructure] = {}
-
-        def fixed_point(kind, cs=cs, stable=stable):
-            # computed by the first law that needs it and shared by the
-            # others; a call that raises stores nothing, so every law that
-            # needs it records its own "evaluation raised" verdict
-            if kind not in stable:
-                stable[kind] = s_infinity(cs, kind)
-            return stable[kind]
-
         for kind in _COMPLETION_KINDS:
-            def completion(cs=cs, kind=kind, lat=lat, fixed_point=fixed_point):
+            def completion(cs=cs, kind=kind, lat=lat):
                 once = s1(cs, kind)
-                stable = fixed_point(kind)
+                stable = s_infinity(cs, kind)
                 for g in range(lat.n):
                     if not lat.leq(cs.limtab[g], once.limtab[g]):
                         return False, f"{kind} completion shrank the limit of ^{lat.label(g)!r}"
@@ -452,14 +442,14 @@ def _suite_convergence(rng: random.Random, budget: int, inject: bool) -> SuiteRe
 
             rep._law(f"completion-{kind}", witness, completion, verdicts, key)
 
-        def fixed_points(cs=cs, fixed_point=fixed_point):
+        def fixed_points(cs=cs):
             flags = classify(cs)
             for kind, flag in (
                 ("limit", flags.limit),
                 ("strict", flags.strict),
                 ("pretop", flags.pretopological),
             ):
-                if (fixed_point(kind).limtab == cs.limtab) != flag:
+                if (s_infinity(cs, kind).limtab == cs.limtab) != flag:
                     return False, f"being a {kind} fixed point disagrees with classification"
             return True, ""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .adherence import AdherenceStructure
+from .adherence import AdherenceStructure, complemented_atoms
 from .convergence import ConvergenceStructure
 from .errors import (
     AxiomViolation,
@@ -206,9 +206,8 @@ def enumerate_topologies(
     the output.  More than ``budget`` preorders in a stage (stages only
     grow) raise :class:`BudgetExceeded`."""
     require_distributive(lattice, "topological structures")
-    comp, down, bottom = analyze(lattice).complemented, lattice.down, lattice.bottom
-    atoms = [c for c in bits(comp ^ 1 << bottom) if down[c] & comp == 1 << c | 1 << bottom]
-    joins = [bottom]
+    atoms = complemented_atoms(lattice)
+    joins = [lattice.bottom]
     for a in atoms:
         joins += [lattice.join(j, a) for j in joins]
     refusal = f"more than {budget} topologies on {lattice.name}"

@@ -520,7 +520,7 @@ def test_criterion_08_completion_fixed_points():
                 # one step fixes the structure exactly when it is in the class
                 is_fixed = s1(cs, kind).limtab == cs.limtab
                 assert is_fixed == flag_of[kind](got), (name, kind)
-                # the iterated completion is the least fixed point above
+                # s_infinity is the least fixed point above the input
                 close = s_infinity(cs, kind)
                 assert s1(close, kind).limtab == close.limtab
                 assert _pointwise_leq(lat, cs.limtab, close.limtab)

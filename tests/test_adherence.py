@@ -41,6 +41,7 @@ from coframes.lattice import (
     bits,
     identity_morphism,
     left_adjoint,
+    powerset_lattice,
 )
 from coframes.search import small_coframes
 
@@ -529,6 +530,62 @@ class TestContinuity:
                     assert phi.values[c] in closed_tgt
 
 
+def final_lift_adh_by_antichains(lattice, sink):
+    """The final lift from its definition: at each element, the infimum over
+    antichains of complemented elements joining above it of the joins of
+    their contributions (a dominated family member only enlarges the join).
+    Walks every antichain of the complemented part, a Dedekind number of
+    them."""
+    comp_elems = list(bits(analyze(lattice).complemented))
+    contrib = {
+        a: lattice.meet_of(
+            phi.values[ns.nutab[left_adjoint(phi).values[a]]] for phi, ns in sink
+        )
+        for a in comp_elems
+    }
+    k = len(comp_elems)
+    comparable = [
+        sum(
+            1 << j
+            for j in range(k)
+            if i != j
+            and (
+                lattice.leq(comp_elems[i], comp_elems[j])
+                or lattice.leq(comp_elems[j], comp_elems[i])
+            )
+        )
+        for i in range(k)
+    ]
+    best = [None] * lattice.n
+
+    def walk(idx, family, blocked):
+        if idx == k:
+            j = lattice.join_of(family)
+            term = lattice.join_of(contrib[a] for a in family)
+            best[j] = term if best[j] is None else lattice.meet(best[j], term)
+            return
+        walk(idx + 1, family, blocked)
+        if not blocked >> idx & 1:
+            walk(idx + 1, family + [comp_elems[idx]], blocked | comparable[idx])
+
+    walk(0, [], 0)
+    return tuple(
+        lattice.meet_of(best[j] for j in bits(lattice.up[l]) if best[j] is not None)
+        for l in range(lattice.n)
+    )
+
+
+def small_sinks(lat):
+    """The empty sink, every one-map sink of an endomorphism and an
+    adherence structure, and every sink of two identities."""
+    structures = list(enumerate_adherence_structures(lat))
+    ident = identity_morphism(lat)
+    sinks = [[]]
+    sinks += [[(phi, ns)] for phi in coframe_endomorphisms(lat) for ns in structures]
+    sinks += [[(ident, a), (ident, b)] for a in structures for b in structures]
+    return sinks
+
+
 class TestFinalLift:
     def test_empty_sink_is_chaotic_adherence(self):
         lat = lattice_fixture("BOOL2")
@@ -541,6 +598,12 @@ class TestFinalLift:
         ns = adherence_fixture("PX3_ADH")
         out = final_lift_adh(ns.lattice, [(identity_morphism(ns.lattice), ns)])
         assert out.nutab == ns.nutab
+        # P(6): 7,828,354 antichains in its complemented part
+        lat = powerset_lattice(tuple("abcdef"))
+        rng = random.Random(61)
+        for _ in range(5):
+            ns = random_adherence_structure(rng, lat)
+            assert final_lift_adh(lat, [(identity_morphism(lat), ns)]).nutab == ns.nutab
 
     def test_two_identities_meet_at_atoms_then_extend_additively(self):
         # the pointwise meet of two additive maps need not be additive, so
@@ -577,6 +640,7 @@ class TestFinalLift:
         for _ in range(20):
             ns = random_adherence_structure(rng, two)
             out = final_lift_adh(target, [(phi, ns)])
+            assert out.nutab == final_lift_adh_by_antichains(target, [(phi, ns)])
             contrib = {
                 a: phi.values[ns.nutab[adj.values[a]]] for a in comp_elems
             }
@@ -591,20 +655,28 @@ class TestFinalLift:
                 assert out.nutab[l] == target.meet_of(best)
 
     def test_every_lift_satisfies_the_axioms(self):
-        # on each distributive carrier with at most five elements: the empty
-        # sink, every one-map sink of an endomorphism and an adherence
-        # structure, and every sink of two identities
+        # on each distributive carrier with at most five elements
         for lat in small_carriers(5):
-            structures = list(enumerate_adherence_structures(lat))
-            ident = identity_morphism(lat)
-            sinks = [[]]
-            sinks += [
-                [(phi, ns)] for phi in coframe_endomorphisms(lat) for ns in structures
-            ]
-            sinks += [[(ident, a), (ident, b)] for a in structures for b in structures]
-            for sink in sinks:
+            for sink in small_sinks(lat):
                 lifted = final_lift_adh(lat, sink)
                 assert adherence_violation(lat, lifted.nutab) is None, sink
+
+    def test_closed_form_equals_antichain_lift(self):
+        # the small sinks, and random sinks of two identities on carriers
+        # whose complemented part has up to 16 elements
+        sinks = [(lat, sink) for lat in small_carriers(5) for sink in small_sinks(lat)]
+        rng = random.Random(73)
+        for name in ("BOOL3", "PX3", "BOOL4"):
+            lat = lattice_fixture(name)
+            ident = identity_morphism(lat)
+            sinks += [
+                (lat, [(ident, random_adherence_structure(rng, lat)) for _ in range(2)])
+                for _ in range(20)
+            ]
+        for lat, sink in sinks:
+            assert final_lift_adh(lat, sink).nutab == final_lift_adh_by_antichains(
+                lat, sink
+            ), sink
 
     def test_sink_maps_continuous_and_lift_is_coarsest(self):
         two = lattice_fixture("CHAIN2")

@@ -109,6 +109,7 @@ TRUSTED_SITES = {
     ("adherence", "adherence_from_atom_values"),
     ("adherence", "lim_of_nu"),
     ("convergence", "s1"),
+    ("convergence", "s_infinity"),
     ("duality", "P_map"),
     ("duality", "P_space"),
     ("duality", "epsilon"),

@@ -37,6 +37,7 @@ from coframes.fixtures import (
     enumerate_antitone_tables,
     lattice_fixture,
     lattice_fixture_names,
+    random_antitone_table,
     random_convergence_structure,
     random_downset_lattice,
 )
@@ -124,6 +125,29 @@ def enumerate_tables_recursively(lat):
             yield from rec(pos + 1)
 
     yield from rec(0)
+
+
+def s_infinity_by_iteration(cs, kind):
+    """The least fixed point above the input by Kleene iteration of one-step
+    operators written from the definitions: top at the improper filter
+    (every kind but ``limit``), then the pair scan ``s1(..., "limit")``
+    (every kind but ``strict``).  Each step is inflationary and monotone,
+    and its fixed points are the members of the class, so the chain climbs
+    to the least of them above the input; every entry climbs along a chain
+    in the carrier, so it stabilizes within ``n**2 + 2`` steps."""
+    lat = cs.lattice
+    current = cs.limtab
+    for _ in range(lat.n * lat.n + 2):
+        step = list(current)
+        if kind != "limit":
+            step[lat.bottom] = lat.top
+        if kind != "strict":
+            step = s1(ConvergenceStructure(lat, step), "limit").limtab
+        step = tuple(step)
+        if step == current:
+            return current
+        current = step
+    raise AssertionError(f"completion {kind!r} did not stabilize")
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,6 +420,32 @@ class TestCompletionStep:
 
 
 class TestCompletionIteration:
+    def test_closed_form_equals_iteration(self):
+        # every antitone table on small_coframes(6), the fixtures, and
+        # random tables on P(2)..P(6)
+        structures = [
+            ConvergenceStructure(lat, t)
+            for lat in small_coframes(6)
+            for t in enumerate_antitone_tables(lat)
+        ]
+        structures += [convergence_fixture(name) for name in convergence_fixture_names()]
+        rng = random.Random(15)
+        for k in range(2, 7):
+            lat = powerset_lattice(tuple("abcdef"[:k]))
+            structures += [
+                ConvergenceStructure(lat, random_antitone_table(rng, lat)) for _ in range(30)
+            ]
+        for cs in structures:
+            for kind in S1_KINDS:
+                assert s_infinity(cs, kind).limtab == s_infinity_by_iteration(cs, kind), (
+                    cs,
+                    kind,
+                )
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(UnknownKind):
+            s_infinity(convergence_fixture("SIERP_LIM"), "bogus")
+
     def test_already_fixed_points_are_returned_unchanged(self):
         cs = convergence_fixture("SIERP_LIM")
         assert s_infinity(cs, "pretop").limtab == cs.limtab

@@ -234,19 +234,6 @@ class TestVerdictReuse:
         # repeated draws exist, and each is a check that reused a verdict
         assert sum(checks.values()) > len(checks)
 
-    def test_each_structure_completes_once_per_kind(self, monkeypatch):
-        # completion-{kind} and completion-fixed-points share one s_infinity
-        calls = Counter()
-        real = laws.s_infinity
-
-        def counting(cs, kind):
-            calls[cs.lattice, cs.limtab, kind] += 1
-            return real(cs, kind)
-
-        monkeypatch.setattr(laws, "s_infinity", counting)
-        assert run_suite("convergence", seed=3, budget=120).passed
-        assert calls and set(calls.values()) == {1}
-
     def test_a_raising_completion_fails_every_law_that_needs_it(self, monkeypatch):
         # a fixed point that raises is not kept: each law records its own
         # "evaluation raised" verdict
