@@ -14,7 +14,6 @@ from .errors import (
     CyclicCovers,
     DocumentError,
     EngineError,
-    IterationBound,
     LatticeMismatch,
     NotALattice,
     NotAMorphism,
@@ -93,7 +92,6 @@ from .topology import (
     TopologicalStructure,
     C_of_nu,
     enumerate_topologies,
-    heyting_implication,
     is_strong,
     is_topological,
     lim_of_C,

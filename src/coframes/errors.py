@@ -67,12 +67,6 @@ class StarFormulaMismatch(EngineError):
     """The closed-form direct image on sublocale lattices failed validation."""
 
 
-class IterationBound(EngineError):
-    """A fixed-point iteration exceeded its theoretical bound.
-
-    No longer raised: the completions are closed forms; kept exported."""
-
-
 class NotPretopological(EngineError):
     """A space-level conversion requires a pretopological space."""
 

@@ -3,9 +3,9 @@
 The central object is :class:`FiniteLattice`: elements are indices ``0..n-1``
 with string labels, and the order is stored as bit rows — ``up[i]`` has bit
 ``j`` set iff ``i <= j``.  Meets and joins are either table-driven or computed
-directly on element indices (powerset lattices, where the index *is* the subset
-bitmask).  Every table carrier (from covers, down-sets, sublattices or
-sublocales) is built by one O(n^2) builder that looks each table entry up by
+directly on element indices (powersets and sublocale lattices, whose index
+*is* the subset bitmask).  Every table carrier (from covers, down-sets or
+sublattices) is built by one O(n^2) builder that looks each table entry up by
 its row.
 
 Lattice objects are immutable and compared by identity: two structurally equal
@@ -517,18 +517,12 @@ def subset_mask(ground: Sequence[str], label: str) -> int:
 _POWERSET_BUDGET = 12
 
 
-@lru_cache(maxsize=None)
-def _powerset_lattice_cached(ground: tuple[str, ...]) -> FiniteLattice:
-    k = len(ground)
-    if k > _POWERSET_BUDGET:
-        raise BudgetExceeded(
-            f"powerset lattice over {k} generators exceeds the budget of "
-            f"{_POWERSET_BUDGET}"
-        )
-    n = 1 << k
-    up = [1 << i for i in range(n)]
-    down = [1 << i for i in range(n)]
-    for d in range(k):
+def _mask_lattice(name: str, elements: Sequence[str]) -> FiniteLattice:
+    """The Boolean algebra on ``2^k`` elements in mask mode: an index is a
+    subset mask of ``k`` generators, meet is ``&`` and join is ``|``."""
+    n = len(elements)
+    up, down = [1 << i for i in range(n)], [1 << i for i in range(n)]
+    for d in range(n.bit_length() - 1):
         bit = 1 << d
         for i in range(n):
             if i & bit:
@@ -536,14 +530,14 @@ def _powerset_lattice_cached(ground: tuple[str, ...]) -> FiniteLattice:
             else:
                 up[i] |= up[i | bit]
     return FiniteLattice(
-        name="P(" + ",".join(ground) + ")",
-        elements=tuple(subset_label(ground, m) for m in range(n)),
-        up=tuple(up),
-        down=tuple(down),
-        bottom=0,
-        top=n - 1,
-        op_mode=_MASK,
+        name, tuple(elements), tuple(up), tuple(down), bottom=0, top=n - 1, op_mode=_MASK
     )
+
+
+@lru_cache(maxsize=None)
+def _powerset_lattice_cached(ground: tuple[str, ...]) -> FiniteLattice:
+    labels = [subset_label(ground, m) for m in range(1 << len(ground))]
+    return _mask_lattice("P(" + ",".join(ground) + ")", labels)
 
 
 def powerset_lattice(ground: Sequence[str]) -> FiniteLattice:
@@ -554,6 +548,11 @@ def powerset_lattice(ground: Sequence[str]) -> FiniteLattice:
     """
     if len(set(ground)) != len(ground) or any(not g for g in ground):
         raise NotALattice("ground labels must be unique and non-empty")
+    if len(ground) > _POWERSET_BUDGET:
+        raise BudgetExceeded(
+            f"powerset lattice over {len(ground)} generators exceeds the budget of "
+            f"{_POWERSET_BUDGET}"
+        )
     return _powerset_lattice_cached(tuple(ground))
 
 
@@ -907,10 +906,14 @@ def require_sublattice(lattice: FiniteLattice, members: Sequence[int]) -> None:
             for op, word in ((lattice.meet, "meet"), (lattice.join, "join")):
                 r = op(a, b)
                 if r not in inside:
-                    raise NotASublattice(
-                        f"{word} of {lattice.label(a)!r} and {lattice.label(b)!r} "
-                        f"is {lattice.label(r)!r}, outside the subset"
-                    )
+                    raise _outside(lattice, word, a, b, r)
+
+
+def _outside(lattice: FiniteLattice, word: str, a: int, b: int, r: int) -> NotASublattice:
+    return NotASublattice(
+        f"{word} of {lattice.label(a)!r} and {lattice.label(b)!r} "
+        f"is {lattice.label(r)!r}, outside the subset"
+    )
 
 
 def require_distributive(lattice: FiniteLattice, what: str) -> None:

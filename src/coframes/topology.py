@@ -6,13 +6,13 @@ elements.  Such a structure induces an adherence structure (infimum over
 closed elements above) and a convergence structure (a filter converges to
 the infimum of the closed elements it meshes); conversely every convergence
 structure has a topological modification, the finest topological structure
-coarser than it.  Topologies are enumerated from preorders, in time
-proportional to their number.
+coarser than it.  Topologies are validated through the closures of the
+complemented atoms and enumerated from preorders on those atoms.
 
-The second half of the module builds the lattice of sublocales of a finite
-frame from its primes, the canonical closed-element embedding, the induced
-action on frame morphisms, and the collapse morphism exhibiting topological
-carriers as a coreflective image of sublocale lattices.
+The second half of the module builds the Boolean lattice of sublocales of a
+finite frame from its primes, the canonical closed-element embedding, the
+induced action on frame morphisms, and the collapse morphism exhibiting
+topological carriers as a coreflective image of sublocale lattices.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .errors import (
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
-    _inclusion_rows,
-    _lattice_of_order,
+    _mask_lattice,
+    _outside,
     _transpose,
     _trusted,
     _union_closure,
@@ -41,7 +41,6 @@ from .lattice import (
     bits,
     dualize,
     require_distributive,
-    require_sublattice,
     require_same_carrier,
     sublattice,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "is_topological",
     "maps_closed_to_closed",
     "enumerate_topologies",
-    "heyting_implication",
     "SublocaleLattice",
     "sublocale_lattice",
     "wedge_C",
@@ -74,6 +72,16 @@ class TopologicalStructure:
     ``closed`` is a bitmask over carrier indices, validated on construction
     (producers of valid masks, such as :func:`C_of_nu`, use the trusted
     constructor ``lattice._trusted``).
+
+    Meet and join closure cost O(|closed| · atoms): ``c(a)``, for each atom
+    ``a`` of the complemented part, is folded as the running meet of the
+    members above ``a``, and the joins of the ``c(a)`` are grown from bottom;
+    the first meet or join outside the family raises :class:`NotASublattice`
+    with its pair.  Otherwise the family is a sublattice: each member ``x``
+    is the join of the ``c(a)`` over the atoms ``a ≤ x`` (``a ≤ c(a) ≤ x``),
+    and the joins grown are the images of the down-sets of the preorder
+    ``a ≼ b ⇔ a ≤ c(b)`` (Birkhoff–Alexandrov), closed under meets and
+    joins.  The all-pairs scan ``lattice.require_sublattice`` is the oracle.
     """
 
     lattice: FiniteLattice
@@ -93,7 +101,7 @@ class TopologicalStructure:
             raise AxiomViolation(
                 "topology.bounds", "closed elements must include both bounds"
             )
-        require_sublattice(lattice, list(bits(mask)))
+        _atom_closures(lattice, mask)
 
     def closed_list(self) -> list[int]:
         return list(bits(self.closed))
@@ -101,6 +109,27 @@ class TopologicalStructure:
     def __repr__(self) -> str:
         members = ", ".join(self.lattice.label(c) for c in bits(self.closed))
         return f"TopologicalStructure({self.lattice.name}: {{{members}}})"
+
+
+def _atom_closures(lattice: FiniteLattice, closed: int) -> set[int]:
+    """The distinct ``c(a)`` of the complemented atoms, checking on the way
+    that ``closed`` is a sublattice as :class:`TopologicalStructure` states."""
+    up, closures, joins = lattice.up, set(), 1 << lattice.bottom
+    for a in complemented_atoms(lattice):
+        c, rest = lattice.top, up[a] & closed
+        while rest:  # one meet per member not above the running meet
+            s = (rest & -rest).bit_length() - 1
+            r = lattice.meet(c, s)
+            if not closed >> r & 1:
+                raise _outside(lattice, "meet", c, s, r)
+            c, rest = r, rest & ~up[r]
+        closures.add(c)
+        for j in bits(0 if joins >> c & 1 else joins):
+            r = lattice.join(j, c)
+            if not closed >> r & 1:
+                raise _outside(lattice, "join", j, c, r)
+            joins |= 1 << r
+    return closures
 
 
 def topological_structure(
@@ -244,30 +273,22 @@ def enumerate_topologies(
 # frame's opposite into it is a coframe morphism.
 
 
-def heyting_implication(lattice: FiniteLattice, u: int, v: int) -> int:
-    """The largest ``w`` with ``w ∧ u <= v`` (meets in the lattice's own
-    orientation).  Requires a distributive carrier."""
-    best = lattice.join_of(
-        w for w in range(lattice.n) if lattice.leq(lattice.meet(w, u), v)
-    )
-    if not lattice.leq(lattice.meet(best, u), v):
-        raise NotDistributive(
-            f"{lattice.name}: implication {lattice.label(u)!r} -> "
-            f"{lattice.label(v)!r} does not exist"
-        )
-    return best
-
-
 _SUBLOCALE_BUDGET = 7  # primes, so at most 128 sublocales
+
+
+def _require_primes(name: str, count: int) -> None:
+    if count > _SUBLOCALE_BUDGET:
+        raise BudgetExceeded(f"sublocales of {name}: {count} primes (limit {_SUBLOCALE_BUDGET})")
 
 
 @dataclass(frozen=True, eq=False)
 class SublocaleLattice:
     """The sublocales of a finite frame, ordered by inclusion.
 
-    ``masks[i]`` is the member set of the ``i``-th sublocale as a bitmask
-    over frame elements.  ``closed_index[u]`` / ``open_index[u]`` locate the
-    closed and open sublocales attached to the frame element ``u``, and
+    ``lattice`` is the Boolean algebra, in mask mode, of the sets ``S`` of the
+    frame's primes (bit ``i`` for the ``i``-th), and ``masks[S]`` is the member
+    set of sublocale ``S``.  ``closed_index[u]`` / ``open_index[u]`` are the
+    closed and open sublocales of the frame element ``u``, and
     ``closed_embedding`` is the (injective) coframe morphism from the frame's
     opposite sending ``u`` to its closed sublocale.
     """
@@ -289,62 +310,39 @@ def sublocale_lattice(omega: FiniteLattice) -> SublocaleLattice:
     A sublocale is a subset containing the frame's top, closed under binary
     meets, and closed under implication from arbitrary frame elements: on a
     finite frame, the meet-closure with top of a set of primes (Picado &
-    Pultr), one per set, built by doubling the list once per prime.  The
-    collection is closed under intersection, so it forms a lattice under
-    inclusion; meets are intersections, joins are least upper bounds.  The
-    open part of ``u`` is the closure of the primes not above ``u``, since
-    ``u -> p`` is ``p`` for those and top otherwise.  Each open part is a
-    sublocale complementing its closed part, and the closed embedding is an
-    injective coframe morphism; the test suite checks these on every frame
-    fixture within the budget of ``_SUBLOCALE_BUDGET`` primes.
+    Pultr), built by doubling the list once per prime, so entry ``S`` is the
+    closure of prime set ``S``.  A prime is meet-irreducible, so the primes
+    in that closure are ``S``, and inclusion of sublocales is inclusion of
+    prime sets.  The closed part of ``u`` is its up-set, the closure of the
+    primes above ``u``; the open part is the closure of the others, since
+    ``u -> p`` is ``p`` for those and top otherwise.  The test suite checks
+    these on every frame fixture within ``_SUBLOCALE_BUDGET`` primes.
     """
     if not analyze(omega).distributive:
         raise NotDistributive(f"{omega.name}: sublocales need a distributive frame")
     primes = list(bits(analyze(omega).meet_primes))
-    if len(primes) > _SUBLOCALE_BUDGET:
-        raise BudgetExceeded(
-            f"sublocales of {omega.name}: {len(primes)} primes (limit {_SUBLOCALE_BUDGET})"
-        )
+    _require_primes(omega.name, len(primes))
     by_primes = [1 << omega.top]
     for p in primes:
         by_primes += [s | sum({1 << omega.meet(p, v) for v in bits(s)}) for s in by_primes]
-    members = sorted(by_primes, key=lambda s: (s.bit_count(), s))
-    pos = {s: i for i, s in enumerate(members)}
-    lat = _lattice_of_order(
+    lat = _mask_lattice(
         f"Subloc({omega.name})",
-        ["{" + ",".join(omega.label(i) for i in bits(s)) + "}" for s in members],
-        *_inclusion_rows(members),
+        ["{" + ",".join(omega.label(i) for i in bits(s)) + "}" for s in by_primes],
     )
-    closed_index = tuple(pos[row] for row in omega.up)
-    open_index = tuple(
-        pos[by_primes[sum(1 << i for i, p in enumerate(primes) if not row >> p & 1)]]
-        for row in omega.up
+    closed_index = tuple(
+        sum(1 << i for i, p in enumerate(primes) if row >> p & 1) for row in omega.up
     )
+    open_index = tuple(lat.top ^ s for s in closed_index)
     embedding = _trusted(
-        LatticeMorphism,
-        source=dualize(omega),
-        target=lat,
-        values=closed_index,
-        kind="coframe",
+        LatticeMorphism, source=dualize(omega), target=lat, values=closed_index, kind="coframe"
     )
-    return SublocaleLattice(
-        frame=omega,
-        lattice=lat,
-        masks=tuple(members),
-        closed_index=closed_index,
-        open_index=open_index,
-        closed_embedding=embedding,
-    )
+    return SublocaleLattice(omega, lat, tuple(by_primes), closed_index, open_index, embedding)
 
 
 def wedge_C(ts: TopologicalStructure) -> tuple[FiniteLattice, list[int]]:
     """The closure of the closed elements under all infima of the carrier,
-    as a sublattice (with the index map into the carrier).
-
-    On a finite carrier every infimum is a finite meet, and the closed
-    elements are meet-closed (validated on construction), so this is the
-    closed part itself.
-    """
+    as a sublattice (with the index map into the carrier): the closed part
+    itself (see :func:`is_strong`)."""
     lat = ts.lattice
     return sublattice(lat, bits(ts.closed), name=f"Wedge({lat.name})")
 
@@ -353,14 +351,12 @@ def is_strong(ts: TopologicalStructure) -> bool:
     """Whether the closed elements are closed under all infima of the
     carrier: the elements of :func:`wedge_C` are exactly the closed ones.
 
-    True on every validated :class:`TopologicalStructure`: its closed
-    elements are meet-closed, and every infimum in a finite carrier is a
-    finite meet.  The ``locale`` law ``canonical-topology-strong`` keeps it
-    as an oracle; on the suite's injected non-distributive frame that law
-    fails because the sublocale lattice cannot be built.
+    True on every validated :class:`TopologicalStructure`, so nothing is
+    built: its closed elements hold top (the empty infimum) and are closed
+    under binary meets, and every infimum in a finite carrier is a finite
+    meet.  The test suite compares it with :func:`wedge_C`.
     """
-    _, mapping = wedge_C(ts)
-    return set(mapping) == set(bits(ts.closed))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +439,13 @@ def sublocale_counit(
     carrier sending the closed sublocale of each closed element to that
     element.  Together with the closed embedding this exhibits the carrier
     as a retract of the sublocale lattice.
+
+    The closed part's primes are the distinct ``c(a)`` of the carrier's
+    complemented atoms, so too many of them raise :class:`BudgetExceeded`
+    before any table is built.
     """
+    lat = ts.lattice
+    _require_primes(f"Wedge({lat.name})^op", len(_atom_closures(lat, ts.closed)))
     wedge, mapping = wedge_C(ts)
-    omega = dualize(wedge)
-    sl = sublocale_lattice(omega)
-    collapse = star(sl, dualize(ts.lattice), mapping)
-    return sl, collapse
+    sl = sublocale_lattice(dualize(wedge))
+    return sl, star(sl, dualize(lat), mapping)

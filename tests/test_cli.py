@@ -175,6 +175,36 @@ class TestValidateCommand:
         assert len(message.encode()) < 1024
 
 
+class TestTopologyDocuments:
+    def test_discrete_topology_on_a_256_element_powerset(self, capsys, monkeypatch):
+        # every subset of eight points is closed: validation folds one
+        # closure per atom, and the strength check builds nothing
+        ground = list("abcdefgh")
+        doc = {
+            "lattice": {"powerset": ground},
+            "closed": [subset_label(ground, m) for m in range(1 << 8)],
+        }
+        for command in ("validate", "classify"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+            code, out, _ = run(capsys, [command, "-", "--json"])
+            report = json.loads(out)
+            assert code == 0 and report["outcome"] == "pass", command
+        assert report["strong"] is True
+        assert len(report["closed"]) == 256
+
+    def test_non_sublattice_is_refused_with_its_pair(self, capsys, monkeypatch):
+        doc = {
+            "lattice": {"powerset": ["a", "b", "c"]},
+            "closed": ["{}", "{a}", "{b}", "{a,b,c}"],
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run(capsys, ["validate", "-", "--json"])
+        assert code == 2
+        report = json.loads(out)
+        assert report["outcome"] == "error"
+        assert "join of '{a}' and '{b}' is '{a,b}', outside the subset" in report["message"]
+
+
 class TestClassifyCommand:
     def test_sierpinski_flag_line(self, capsys, tmp_path):
         path = write_fixture(capsys, tmp_path, "SIERP_LIM", "s.json")

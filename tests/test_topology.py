@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -26,7 +27,6 @@ from coframes import (
     classify,
     closed_sets,
     enumerate_topologies,
-    heyting_implication,
     is_strong,
     is_topological,
     lim_of_C,
@@ -54,7 +54,7 @@ from coframes.fixtures import (
 )
 from coframes.laws import star_extension_unique
 from coframes.search import small_coframes
-from coframes.topology import _SUBLOCALE_BUDGET
+from coframes.topology import _SUBLOCALE_BUDGET, TopologicalStructure, _atom_closures
 from coframes.lattice import (
     LatticeMorphism,
     _table_violation,
@@ -65,7 +65,23 @@ from coframes.lattice import (
     identity_morphism,
     morphism_violation,
     powerset_lattice,
+    require_sublattice,
 )
+
+
+def heyting_implication(lattice, u, v):
+    """Oracle: the largest ``w`` with ``w ∧ u <= v`` (meets in the lattice's
+    own orientation), by a scan over every element; raises
+    :class:`NotDistributive` when that join fails the property."""
+    best = lattice.join_of(
+        w for w in range(lattice.n) if lattice.leq(lattice.meet(w, u), v)
+    )
+    if not lattice.leq(lattice.meet(best, u), v):
+        raise NotDistributive(
+            f"{lattice.name}: implication {lattice.label(u)!r} -> "
+            f"{lattice.label(v)!r} does not exist"
+        )
+    return best
 
 
 def star_extension_unique_by_scan(sl, extension):
@@ -182,6 +198,38 @@ class TestConstructor:
         lat = lattice_fixture("BOOL2")
         with pytest.raises(AxiomViolation):
             topological_structure(lat, [lat.bottom, lat.top, 99])
+
+    def test_agrees_with_the_pair_scan(self):
+        # every family of complemented elements holding both bounds, on the
+        # carriers of up to ten elements and on P(4): the atom-closure check
+        # accepts exactly the families the all-pairs scan accepts, and each
+        # rejection names a pair of members whose meet or join is outside
+        carriers = list(small_coframes(10)) + [powerset_lattice("abcd")]
+        witness = re.compile(r"(meet|join) of '(.*)' and '(.*)' is '(.*)', outside the subset")
+        families = rejected = 0
+        for lat in carriers:
+            base = 1 << lat.bottom | 1 << lat.top
+            optional = list(bits(analyze(lat).complemented & ~base))
+            for pick in range(1 << len(optional)):
+                mask = base | sum(1 << optional[i] for i in bits(pick))
+                try:
+                    require_sublattice(lat, list(bits(mask)))
+                    expected = True
+                except NotASublattice:
+                    expected = False
+                try:
+                    TopologicalStructure(lat, mask)
+                    got = True
+                except NotASublattice as err:
+                    got = False
+                    word, a, b, r = witness.fullmatch(str(err)).groups()
+                    a, b, r = map(lat.index, (a, b, r))
+                    assert mask >> a & 1 and mask >> b & 1 and not mask >> r & 1
+                    assert r == (lat.meet if word == "meet" else lat.join)(a, b)
+                assert got == expected, (lat.name, mask)
+                families += 1
+                rejected += not got
+        assert (families, rejected) == (16577, 16064)
 
 
 class TestClosureOperator:
@@ -546,9 +594,26 @@ class TestSublocales:
     def test_equals_the_subset_scan(self):
         frames = [omega for omega in distributive_carriers() if omega.n <= 8]
         for omega in frames:
-            assert list(sublocale_lattice(omega).masks) == sublocales_by_subset_scan(
-                omega
-            ), omega.name
+            masks = sublocale_lattice(omega).masks
+            assert len(set(masks)) == len(masks), omega.name
+            assert set(masks) == set(sublocales_by_subset_scan(omega)), omega.name
+
+    def test_each_index_is_the_prime_set_of_its_sublocale(self):
+        # masks[S] is the closure of prime set S under top and binary meets,
+        # and the primes it holds are S
+        for omega in frame_fixtures() + list(small_coframes(8)):
+            primes = list(bits(analyze(omega).meet_primes))
+            sl = sublocale_lattice(omega)
+            assert sl.lattice.n == len(sl.masks) == 1 << len(primes)
+            for s, members in enumerate(sl.masks):
+                closure = {omega.top} | {primes[i] for i in bits(s)}
+                while True:
+                    grown = closure | {omega.meet(x, y) for x in closure for y in closure}
+                    if grown == closure:
+                        break
+                    closure = grown
+                assert members == sum(1 << x for x in closure), (omega.name, s)
+                assert [i for i, p in enumerate(primes) if members >> p & 1] == list(bits(s))
 
     def test_open_and_closed_parts_complement(self):
         for omega in frame_fixtures():
@@ -583,8 +648,8 @@ class TestStrength:
     def test_every_finite_topology_is_strong(self):
         # finite meets reach arbitrary infima, so the wedge adds nothing;
         # verified by computing the closure rather than assuming it
-        for name in ("BOOL2", "PX3"):
-            lat = lattice_fixture(name)
+        carriers = list(small_coframes(8)) + [lattice_fixture(n) for n in ("BOOL2", "PX3")]
+        for lat in carriers:
             for ts in enumerate_topologies(lat):
                 assert is_strong(ts)
                 wedge, mapping = wedge_C(ts)
@@ -717,6 +782,26 @@ class TestCounit:
             wedge, mapping = wedge_C(ts)
             for w in range(wedge.n):
                 assert collapse.values[sl.closed_index[w]] == mapping[w]
+
+    def test_distinct_atom_closures_count_the_primes_of_the_closed_part(self):
+        # the size check before the wedge: the closed part's frame has one
+        # prime per distinct closure of a complemented atom
+        for lat in small_coframes(8):
+            for ts in enumerate_topologies(lat):
+                closures = set(_atom_closures(lat, ts.closed))
+                frame = dualize(wedge_C(ts)[0])
+                assert len(closures) == analyze(frame).meet_primes.bit_count(), ts
+
+    def test_refuses_nine_primes_before_building_the_wedge(self, monkeypatch):
+        lat = powerset_lattice("abcdefghi")
+        ts = topological_structure(lat, range(lat.n))
+
+        def no_wedge(ts):
+            raise AssertionError("wedge_C built before the size check")
+
+        monkeypatch.setattr("coframes.topology.wedge_C", no_wedge)
+        with pytest.raises(BudgetExceeded, match=r"9 primes \(limit 7\)"):
+            sublocale_counit(ts)
 
     def test_boolean_carrier_collapse_is_an_isomorphism(self):
         ts = topology_fixture("DISCRETE_TOP")
