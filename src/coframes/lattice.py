@@ -117,10 +117,10 @@ class FiniteLattice:
     principal up-set / down-set of ``i`` (reflexive).  ``bottom`` and ``top``
     are element indices.
 
-    Derived data (the :func:`analyze` report, the atoms, the least
-    complemented element above each element, the nonzero-meet rows, the
-    dual, the lower covers and the splits) is built on first use and kept
-    with the carrier, so it is freed together with it.
+    Derived data (the :func:`analyze` report, the position of each label,
+    the atoms, the least complemented element above each element, the
+    nonzero-meet rows, the dual, the lower covers and the splits) is built
+    on first use and kept with the carrier, so it is freed together with it.
     """
 
     name: str
@@ -148,8 +148,8 @@ class FiniteLattice:
 
     def index(self, label: str) -> int:
         try:
-            return self.elements.index(label)
-        except ValueError:
+            return self.positions[label]
+        except KeyError:
             raise UnknownLabel(label) from None
 
     # -- order and operations ---------------------------------------------
@@ -204,6 +204,11 @@ class FiniteLattice:
     def report(self) -> LatticeReport:
         """The :func:`analyze` report."""
         return _analysis(self)
+
+    @derived
+    def positions(self) -> dict[str, int]:
+        """Label → element index, for :meth:`index`."""
+        return {label: i for i, label in enumerate(self.elements)}
 
     @derived
     def atoms(self) -> int:

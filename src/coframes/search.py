@@ -5,9 +5,12 @@ class predicates, optionally implying another conjunction
 (``"centered & pretopological => topological"``).  The search tries the
 built-in fixture corpus first, then exhaustively sweeps the carriers of
 :func:`small_coframes` up to a size bound (every distributive lattice of
-that size, once up to isomorphism), and finally draws seeded random samples
-from slightly larger carriers.  Results are a pure function of the
-arguments.
+that size, once up to isomorphism), and finally draws seeded random
+structures on the down-set lattices of random 2- to 4-point posets with at
+most ``max(8, max_lattice)`` elements, so many of them are carriers the sweep
+has already covered.  Within one call each random carrier's topologies are
+listed once and each distinct structure is judged once.  Results are a pure
+function of the arguments.
 
 Candidates come from the antecedent's class, as every structure outside it
 leaves the conjecture standing: the structures of the topologies when the
@@ -39,7 +42,7 @@ from .fixtures import (
     random_downset_lattice,
 )
 from .lattice import FiniteLattice, FinitePoset, _trusted, bits, downset_lattice
-from .topology import enumerate_topologies, lim_of_C
+from .topology import TopologicalStructure, enumerate_topologies, lim_of_C
 
 __all__ = [
     "Conjecture",
@@ -251,13 +254,36 @@ def _candidates(
 
 
 def _random_candidate(
-    antecedent: tuple[str, ...], rng: random.Random, lat: FiniteLattice
-) -> ConvergenceStructure:
-    """One seeded draw from the class of :func:`_candidates`."""
+    antecedent: tuple[str, ...],
+    rng: random.Random,
+    lat: FiniteLattice,
+    topologies: dict[FiniteLattice, list[TopologicalStructure]],
+    judged: set[tuple[FiniteLattice, Any]],
+) -> ConvergenceStructure | None:
+    """One seeded draw from the class of :func:`_candidates` on ``lat``, or
+    ``None`` when the same structure on ``lat`` was drawn, and so judged,
+    before.
+
+    ``topologies`` (each carrier's topologies, listed on its first draw) and
+    ``judged`` (the carrier and draw of every structure returned) are owned
+    by the caller, like the carrier pool of
+    :func:`~coframes.fixtures.random_downset_lattice`.  They change neither
+    the draws nor the structures: ``rng.choice`` on an equal list picks the
+    same position."""
     if "topological" in antecedent:
-        return lim_of_C(rng.choice(list(enumerate_topologies(lat))))
-    tab = random_antitone_table(rng, lat, pretopological=_names_pretopological(antecedent))
-    return _trusted(ConvergenceStructure, lattice=lat, limtab=tab)
+        if lat not in topologies:
+            topologies[lat] = list(enumerate_topologies(lat))
+        drawn: Any = rng.choice(topologies[lat])
+    else:
+        drawn = random_antitone_table(
+            rng, lat, pretopological=_names_pretopological(antecedent)
+        )
+    if (lat, drawn) in judged:
+        return None
+    judged.add((lat, drawn))
+    if "topological" in antecedent:
+        return lim_of_C(drawn)
+    return _trusted(ConvergenceStructure, lattice=lat, limtab=drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +324,13 @@ def search_counterexample(
     Order: the fixture corpus, then every structure of the antecedent's
     class on every distributive lattice with at most ``max_lattice``
     elements (each once up to isomorphism), then ``budget`` seeded random
-    structures of that class on slightly larger carriers.  Every candidate
-    is judged on the whole conjecture, antecedent included, and counts
-    towards the cap of the exhaustive phase.  A ``max_lattice`` above 17
-    raises :class:`BudgetExceeded` before any candidate is tried.
+    structures of that class on the down-set lattices of random 2- to
+    4-point posets with at most ``max(8, max_lattice)`` elements.  Every
+    candidate is judged on the whole conjecture, antecedent included, and
+    counts towards the cap of the exhaustive phase; a random draw that
+    repeats an earlier one still counts, and keeps its earlier verdict.  A
+    ``max_lattice`` above 17 raises :class:`BudgetExceeded` before any
+    candidate is tried.
     """
     if max_lattice < 1:
         raise ConjectureError("--max-lattice must be at least 1")
@@ -340,13 +369,17 @@ def search_counterexample(
             if conjecture.refuted_by(ClassFlags(cs)):
                 return result(f"enumerated:{lat.name}[{lat.n}]", cs)
 
+    # the carrier pool, each carrier's topologies and the structures judged
+    # live for this call only
     rng = random.Random(seed)
     carriers: dict = {}
+    topologies: dict = {}
+    judged: set = set()
     for i in range(budget):
         lat = random_downset_lattice(rng, max(8, max_lattice), carriers=carriers)
-        cs = _random_candidate(antecedent, rng, lat)
+        cs = _random_candidate(antecedent, rng, lat, topologies, judged)
         structures += 1
-        if conjecture.refuted_by(ClassFlags(cs)):
+        if cs is not None and conjecture.refuted_by(ClassFlags(cs)):
             return result(f"random:{i}", cs)
 
     return SearchResult(

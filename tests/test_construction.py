@@ -332,7 +332,7 @@ def _run_producers():
     for lat in carriers:
         for antecedent in ((), ("pretopological",), ("topological",)):
             list(islice(_candidates(antecedent, lat), 40))
-            _random_candidate(antecedent, rng, lat)
+            _random_candidate(antecedent, rng, lat, {}, set())
 
 
 class TestTrustedBuilds:

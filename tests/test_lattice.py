@@ -329,6 +329,14 @@ class TestConstruction:
             lattice_fixture("CHAIN3").index("nowhere")
         assert isinstance(err.value, KeyError) and isinstance(err.value, EngineError)
 
+    def test_every_label_of_a_large_carrier_round_trips(self):
+        p12 = powerset_lattice(tuple("abcdefghijkl"))
+        assert [p12.index(p12.label(i)) for i in range(p12.n)] == list(range(4096))
+        with pytest.raises(UnknownLabel):
+            p12.index("{m}")
+        # the dual has the same labels at the same positions
+        assert p12.dual.index("{a,l}") == p12.index("{a,l}")
+
     def test_powerset_masks_and_labels(self):
         b2 = powerset_lattice(("0", "1"))
         assert b2.n == 4 and b2.bottom == 0 and b2.top == 3

@@ -1,12 +1,14 @@
 """Tests for the conjecture grammar, the small-carrier sweep, and the
 counterexample search."""
 
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
 
 from coframes import analyze
+from coframes import search as search_module
 from coframes.adherence import adh0_table, adh_table
 from coframes.convergence import (
     CLASS_COST_ORDER,
@@ -21,17 +23,22 @@ from coframes.fixtures import (
     enumerate_antitone_tables,
     lattice_fixture,
     lattice_fixture_names,
+    random_antitone_table,
+    random_downset_lattice,
 )
 from coframes.lattice import downset_lattice, poset_from_covers
 from coframes.search import (
     PREDICATES,
     Conjecture,
+    SearchResult,
     _candidates,
+    _names_pretopological,
     _random_candidate,
     parse_conjecture,
     search_counterexample,
     small_coframes,
 )
+from coframes.topology import enumerate_topologies, lim_of_C
 
 
 class TestGrammar:
@@ -264,9 +271,9 @@ class TestClassGenerators:
         rng = random.Random(7)
         for lat in list(small_coframes(7)) + fixture_carriers():
             for _ in range(5):
-                cs = _random_candidate(("pretopological",), rng, lat)
+                cs = _random_candidate(("pretopological",), rng, lat, {}, set())
                 assert ClassFlags(cs)["pretopological"], (lat, cs)
-            cs = _random_candidate(("topological",), rng, lat)
+            cs = _random_candidate(("topological",), rng, lat, {}, set())
             assert ClassFlags(cs)["topological"], (lat, cs)
 
 
@@ -340,3 +347,80 @@ class TestSearch:
     def test_max_lattice_must_be_positive(self):
         with pytest.raises(ConjectureError):
             search_counterexample(parse_conjecture("strict => centered"), max_lattice=0)
+
+
+def per_draw_search(conjecture, *, max_lattice, seed, budget=200):
+    """The search with a per-draw random phase, the oracle for the tables
+    of ``search_counterexample``: every draw lists its carrier's topologies
+    afresh and builds and judges its structure, through the public
+    constructor and a full classification."""
+    swept = search_counterexample(conjecture, max_lattice=max_lattice, seed=seed, budget=0)
+    if swept.outcome == "counterexample":
+        return swept
+    antecedent = conjecture.antecedent
+    pretopological = _names_pretopological(antecedent)
+    structures = swept.structures_tested
+    rng = random.Random(seed)
+    carriers = {}
+    for i in range(budget):
+        lat = random_downset_lattice(rng, max(8, max_lattice), carriers=carriers)
+        if "topological" in antecedent:
+            cs = lim_of_C(rng.choice(list(enumerate_topologies(lat))))
+        else:
+            tab = random_antitone_table(rng, lat, pretopological=pretopological)
+            cs = ConvergenceStructure(lat, tab)
+        structures += 1
+        flags = classify(cs).flags()
+        if conjecture.refuted_by(flags):
+            return dataclasses.replace(
+                swept,
+                outcome="counterexample",
+                origin=f"random:{i}",
+                counterexample=cs,
+                flags=flags,
+                structures_tested=structures,
+            )
+    return dataclasses.replace(swept, structures_tested=structures)
+
+
+def answer(result: SearchResult) -> tuple:
+    """Every field but the structure, which the witness document holds."""
+    fields = dataclasses.asdict(dataclasses.replace(result, counterexample=None))
+    return fields, result.witness_document()
+
+
+class TestRandomPhase:
+    @pytest.mark.parametrize(
+        "text, max_lattice, seed, origin",
+        [
+            ("topological => pretopological", 7, 23, None),
+            ("topological => pretopological", 7, 41, None),
+            ("pretopological => strict & limit", 7, 23, None),
+            ("pretopological => strict & limit", 7, 41, None),
+            ("classical => limit", 3, 23, "random:4"),
+            ("strict => limit", 3, 23, "random:59"),
+            ("centered => limit", 3, 23, "random:129"),
+        ],
+    )
+    def test_answers_match_the_per_draw_loop(self, text, max_lattice, seed, origin):
+        conjecture = parse_conjecture(text)
+        result = search_counterexample(conjecture, max_lattice=max_lattice, seed=seed)
+        oracle = per_draw_search(conjecture, max_lattice=max_lattice, seed=seed)
+        assert result.origin == origin
+        assert answer(result) == answer(oracle)
+
+    def test_each_carrier_lists_its_topologies_once(self, monkeypatch):
+        listed = []
+
+        def counting(lat):
+            listed.append(lat)
+            return enumerate_topologies(lat)
+
+        monkeypatch.setattr(search_module, "enumerate_topologies", counting)
+        result = search_counterexample(
+            parse_conjecture("topological => pretopological"), max_lattice=7, seed=23
+        )
+        assert result.outcome == "exhausted" and result.structures_tested == 233
+        # 21 swept carriers and 25 distinct random ones, against one listing
+        # per draw (200) on top of the sweep
+        assert len({id(lat) for lat in listed}) == len(listed) == 21 + 25
