@@ -28,7 +28,6 @@ from .lattice import (
     build_lattice,
     cover_pairs,
     dualize,
-    _subset_parses,  # re-exported
     powerset_lattice,
     subset_label,
     subset_mask,

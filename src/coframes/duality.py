@@ -32,6 +32,7 @@ from .errors import (
     BudgetExceeded,
     LatticeMismatch,
     NotAMorphism,
+    NotASublattice,
     NotPretopological,
     UnknownKind,
     UnknownLabel,
@@ -48,7 +49,12 @@ from .lattice import (
     subset_label,
     subset_mask,
 )
-from .topology import TopologicalStructure, topological_modification
+from .topology import (
+    TopologicalStructure,
+    lim_of_C,
+    topological_modification,
+    topological_structure,
+)
 
 __all__ = [
     "FiniteConvergenceSpace",
@@ -514,7 +520,10 @@ def pt_adh(ns: AdherenceStructure) -> FiniteAdherenceSpace:
 @dataclass(frozen=True, eq=False)
 class FiniteTopologicalSpace:
     """A finite set of points with a family of closed subsets (containing
-    the empty and full sets, closed under union and intersection)."""
+    the empty and full sets, closed under union and intersection), checked
+    as a topological structure on the (cached) powerset lattice of the
+    points: O(f · k) for ``f`` sets on ``k`` points, and the error names the
+    first union or intersection outside the family."""
 
     points: tuple[str, ...]
     closed: tuple[int, ...]
@@ -527,17 +536,16 @@ class FiniteTopologicalSpace:
                 raise AxiomViolation(
                     "space.closed", f"closed set #{i} is not a subset of the {k} points"
                 )
-        family = set(self.closed)
-        if 0 not in family or full not in family:
+        if 0 not in self.closed or full not in self.closed:
             raise AxiomViolation(
                 "space.closed", "closed family must contain empty and full sets"
             )
-        for a in family:
-            for b in family:
-                if a | b not in family or a & b not in family:
-                    raise AxiomViolation(
-                        "space.closed", "closed family must be a set lattice"
-                    )
+        try:
+            topological_structure(powerset_lattice(self.points), self.closed)
+        except NotASublattice as err:
+            raise AxiomViolation(
+                "space.closed", f"closed family must be a set lattice: {err}"
+            ) from None
 
     @property
     def n_points(self) -> int:
@@ -564,20 +572,13 @@ def pt_top(ts: TopologicalStructure) -> FiniteTopologicalSpace:
 def top_space_convergence(tsp: FiniteTopologicalSpace) -> FiniteConvergenceSpace:
     """The convergence of a finite topological space: the improper filter
     converges everywhere, every other filter to the intersection of the
-    closed sets it meets."""
-    k = tsp.n_points
-    full = (1 << k) - 1
-    out = []
-    for a in range(1 << k):
-        if a == 0:
-            out.append(full)
-            continue
-        lim = full
-        for c in tsp.closed:
-            if c & a:
-                lim &= c
-        out.append(lim)
-    return _trusted(FiniteConvergenceSpace, points=tsp.points, limtab=tuple(out))
+    closed sets it meets: :func:`lim_of_C` of the family on the powerset
+    lattice of the points, O(2^k · k) intersections on ``k`` points."""
+    closed = 0
+    for c in tsp.closed:  # a directly built space may list a set twice
+        closed |= 1 << c
+    ts = _trusted(TopologicalStructure, lattice=powerset_lattice(tsp.points), closed=closed)
+    return _trusted(FiniteConvergenceSpace, points=tsp.points, limtab=lim_of_C(ts).limtab)
 
 
 def enumerate_spaces(labels: Sequence[str]) -> Iterator[FiniteConvergenceSpace]:

@@ -687,9 +687,6 @@ class LatticeReport:
     prime_continuous: bool
     wwb_below: tuple[int, ...]
 
-    def complemented_list(self) -> list[int]:
-        return list(bits(self.complemented))
-
 
 def _fold(
     op: Callable[[int, int], int],

@@ -103,9 +103,6 @@ class TopologicalStructure:
             )
         _atom_closures(lattice, mask)
 
-    def closed_list(self) -> list[int]:
-        return list(bits(self.closed))
-
     def __repr__(self) -> str:
         members = ", ".join(self.lattice.label(c) for c in bits(self.closed))
         return f"TopologicalStructure({self.lattice.name}: {{{members}}})"

@@ -204,6 +204,28 @@ class TestTopologyDocuments:
         assert report["outcome"] == "error"
         assert "join of '{a}' and '{b}' is '{a,b}', outside the subset" in report["message"]
 
+    def test_discrete_space_on_eight_points(self, capsys, monkeypatch):
+        # a topological space is checked as a topology on the powerset of
+        # its points
+        points = list("abcdefgh")
+        doc = {"points": points, "closed": [subset_label(points, m) for m in range(1 << 8)]}
+        for command in ("validate", "classify"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+            code, out, _ = run(capsys, [command, "-", "--json"])
+            assert code == 0 and json.loads(out)["outcome"] == "pass", command
+
+    def test_space_with_a_non_lattice_family_is_refused_with_its_pair(
+        self, capsys, monkeypatch
+    ):
+        doc = {"points": ["a", "b", "c"], "closed": ["{}", "{a}", "{b}", "{a,b,c}"]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run(capsys, ["validate", "-", "--json"])
+        assert code == 2
+        report = json.loads(out)
+        assert report["outcome"] == "error"
+        assert "space.closed" in report["message"]
+        assert "join of '{a}' and '{b}' is '{a,b}', outside the subset" in report["message"]
+
 
 class TestClassifyCommand:
     def test_sierpinski_flag_line(self, capsys, tmp_path):

@@ -108,8 +108,9 @@ class TestSubsetLabels:
     def test_one_parser_for_documents_and_spaces(self):
         from coframes import documents, lattice
 
+        assert documents.subset_mask is lattice.subset_mask
         assert subset_mask is lattice.subset_mask
-        assert documents._subset_parses is lattice._subset_parses
+        assert not hasattr(documents, "_subset_parses")
 
 
 class TestLatticeDocuments:

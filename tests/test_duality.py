@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -79,6 +80,7 @@ from coframes.lattice import (
     left_adjoint,
     morphism_violation,
     powerset_lattice,
+    subset_mask,
 )
 from coframes.search import small_coframes
 from coframes.topology import sublocale_lattice, topological_structure
@@ -104,6 +106,28 @@ def structure_corpus():
 def small_spaces():
     """Every convergence space on at most two points."""
     return [sp for k in range(3) for sp in enumerate_spaces(("a", "b")[:k])]
+
+
+def is_set_lattice_by_pairs(family):
+    """The all-pairs scan that validated closed families: every union and
+    intersection of two members is a member (the oracle for the check
+    through the powerset topology)."""
+    return all(a | b in family and a & b in family for a in family for b in family)
+
+
+def top_space_convergence_by_loop(tsp):
+    """The closed-set loop that computed a topological space's convergence:
+    the improper filter converges everywhere, every other filter to the
+    intersection of the closed sets it meets."""
+    full = (1 << tsp.n_points) - 1
+    out = [full]
+    for a in range(1, 1 << tsp.n_points):
+        lim = full
+        for c in tsp.closed:
+            if c & a:
+                lim &= c
+        out.append(lim)
+    return tuple(out)
 
 
 def pullback_by_definition(cs, a):
@@ -694,6 +718,53 @@ class TestPointSpacesOfTopologies:
         with pytest.raises(AxiomViolation) as err:
             FiniteTopologicalSpace(("a", "b"), (0, 3, 3 | 1 << 40))
         assert err.value.axiom == "space.closed"
+
+    def test_non_lattice_family_names_its_pair(self):
+        with pytest.raises(AxiomViolation) as err:
+            FiniteTopologicalSpace(("a", "b", "c"), (0b000, 0b001, 0b010, 0b111))
+        assert err.value.axiom == "space.closed"
+        assert "join of '{a}' and '{b}' is '{a,b}', outside the subset" in str(err.value)
+
+    def test_agrees_with_the_pair_scan_and_the_closed_set_loop(self):
+        # every family of subsets of at most four points: 2, 4, 16, 256 and
+        # 65,536 families, of which the topologies number 1, 1, 4, 29 and 355
+        # (OEIS A000798)
+        pair = re.compile(
+            r"(meet|join) of '([^']*)' and '([^']*)' is '([^']*)', outside the subset"
+        )
+        accepted = []
+        for k in range(5):
+            points = ("a", "b", "c", "d")[:k]
+            full = (1 << k) - 1
+            count = 0
+            for chosen in range(1 << (1 << k)):
+                closed = tuple(bits(chosen))
+                family = set(closed)
+                try:
+                    tsp = FiniteTopologicalSpace(points, closed)
+                except AxiomViolation as err:
+                    assert err.axiom == "space.closed"
+                    assert not (
+                        0 in family and full in family and is_set_lattice_by_pairs(family)
+                    ), closed
+                    found = pair.search(err.witness)
+                    if found is None:
+                        assert 0 not in family or full not in family, closed
+                        continue
+                    word, x, y, r = found.groups()
+                    x, y, r = (subset_mask(points, label) for label in (x, y, r))
+                    assert x in family and y in family and r not in family, closed
+                    assert r == (x | y if word == "join" else x & y), closed
+                    continue
+                assert is_set_lattice_by_pairs(family), closed
+                count += 1
+                twice = FiniteTopologicalSpace(points, closed + closed)
+                for space in (tsp, twice):
+                    got = top_space_convergence(space)
+                    assert got.points == points
+                    assert got.limtab == top_space_convergence_by_loop(space), closed
+            accepted.append(count)
+        assert accepted == [1, 1, 4, 29, 355]
 
     def test_point_space_convergence_matches_structure_convergence(self):
         for name in ("BOOL2", "PX3"):
