@@ -16,11 +16,13 @@ trusted constructor ``lattice._trusted``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .adherence import AdherenceStructure, adh_structure_of, lim_of_nu
 from .convergence import (
+    ClassFlags,
     ConvergenceStructure,
     check_continuity,
     classify,
@@ -41,6 +43,7 @@ from .filters import Filter
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
+    _subset_folds,
     _trusted,
     analyze,
     bits,
@@ -224,12 +227,10 @@ def space_map(
 
 def is_continuous(f: SpaceMap) -> bool:
     """Whether the map sends limits to limits: the image of every limit set
-    is contained in the limit set of the image filter."""
-    for a in range(1 << f.source.n_points):
-        img = f.image_mask(f.source.limtab[a])
-        if img & ~f.target.limtab[f.image_mask(a)]:
-            return False
-    return True
+    is in the limit set of the image filter; O(2^k) by :func:`_subset_folds`."""
+    images = _subset_folds([1 << v for v in f.values], operator.or_, 0)
+    limits = f.target.limtab
+    return all(not images[lim] & ~limits[images[a]] for a, lim in enumerate(f.source.limtab))
 
 
 def space_lattice(space: FiniteConvergenceSpace) -> FiniteLattice:
@@ -250,13 +251,12 @@ def P_map(f: SpaceMap) -> LatticeMorphism:
     continuous structure map (the test suite checks both the morphism laws
     and this equivalence on every map between spaces of at most two
     points)."""
+    singletons = [f.preimage_mask(1 << y) for y in range(f.target.n_points)]
     return _trusted(
         LatticeMorphism,
         source=space_lattice(f.target),
         target=space_lattice(f.source),
-        values=tuple(
-            f.preimage_mask(b) for b in range(1 << f.target.n_points)
-        ),
+        values=tuple(_subset_folds(singletons, operator.or_, 0)),
         kind="coframe",
     )
 
@@ -296,20 +296,14 @@ def pt_space(cs: ConvergenceStructure) -> FiniteConvergenceSpace:
     of its pulled-back filter.
 
     The pulled-back filter of a subset is generated by the join of its
-    points (see :func:`kow`), built here from the subset without its lowest
-    point by one more join."""
+    points (see :func:`kow`), one join per subset by :func:`_subset_folds`."""
     lat, tab = cs.lattice, cs.limtab
     pts = cs.points
     labels = tuple(lat.label(p) for p in pts)
     _check_point_count(labels)
     point_sets = [bullet(cs, l) for l in range(lat.n)]
-    gens = [lat.bottom] * (1 << len(pts))
-    limtab = [point_sets[tab[lat.bottom]]]
-    for a in range(1, 1 << len(pts)):
-        low = a & -a
-        gens[a] = gen = lat.join(gens[a ^ low], pts[low.bit_length() - 1])
-        limtab.append(point_sets[tab[gen]])
-    return _trusted(FiniteConvergenceSpace, points=labels, limtab=tuple(limtab))
+    limtab = tuple(point_sets[tab[gen]] for gen in _subset_folds(pts, lat.join, lat.bottom))
+    return _trusted(FiniteConvergenceSpace, points=labels, limtab=limtab)
 
 
 def eta(space: FiniteConvergenceSpace) -> SpaceMap:
@@ -438,11 +432,9 @@ class FiniteAdherenceSpace:
             raise AxiomViolation(
                 "closure.grounded", "closure of the empty set must be empty"
             )
-        for a in range(1 << k):
-            expected = 0
-            for x in bits(a):
-                expected |= self.adhtab[1 << x]
-            if self.adhtab[a] != expected:
+        unions = _subset_folds([self.adhtab[1 << x] for x in range(k)], operator.or_, 0)
+        for a, closure in enumerate(self.adhtab):
+            if closure != unions[a]:
                 raise AxiomViolation(
                     "closure.additive",
                     f"closure of {a:b} is not the union of its singletons'",
@@ -456,12 +448,12 @@ class FiniteAdherenceSpace:
 def to_adherence(space: FiniteConvergenceSpace) -> FiniteAdherenceSpace:
     """Read a pretopological space as a closure space: the closure of a set
     is the union of the limits of filters meshing it."""
-    got = classify_space(space)
-    if not got.pretopological:
+    cs = P_space(space)
+    if not ClassFlags(cs)["pretopological"]:
         raise NotPretopological(
             "only pretopological spaces carry an equivalent closure space"
         )
-    ns = adh_structure_of(P_space(space))
+    ns = adh_structure_of(cs)
     return _trusted(FiniteAdherenceSpace, points=space.points, adhtab=ns.nutab)
 
 
@@ -480,18 +472,12 @@ def adherence_continuous(
     source: FiniteAdherenceSpace,
     target: FiniteAdherenceSpace,
 ) -> bool:
-    """Whether a point map sends closures into closures of images."""
+    """Whether a point map sends closures into closures of images; O(2^k)
+    by :func:`_subset_folds`."""
     _check_total(values, source.n_points, target.n_points)
-    for a in range(1 << source.n_points):
-        img_of_closure = 0
-        for i in bits(source.adhtab[a]):
-            img_of_closure |= 1 << values[i]
-        img = 0
-        for i in bits(a):
-            img |= 1 << values[i]
-        if img_of_closure & ~target.adhtab[img]:
-            return False
-    return True
+    images = _subset_folds([1 << v for v in values], operator.or_, 0)
+    closures = target.adhtab
+    return all(not images[c] & ~closures[images[a]] for a, c in enumerate(source.adhtab))
 
 
 def pt_adh(ns: AdherenceStructure) -> FiniteAdherenceSpace:
@@ -507,8 +493,8 @@ def pt_adh(ns: AdherenceStructure) -> FiniteAdherenceSpace:
     labels = tuple(lat.label(p) for p in pts)
     _check_point_count(labels)
     adhtab = []
-    for a in range(1 << len(pts)):
-        closure = ns.nutab[lat.join_of(pts[i] for i in bits(a))]
+    for join in _subset_folds(pts, lat.join, lat.bottom):
+        closure = ns.nutab[join]
         mask = 0
         for i, p in enumerate(pts):
             if lat.leq(p, closure):

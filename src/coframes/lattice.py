@@ -194,10 +194,6 @@ class FiniteLattice:
         """Element indices in a linear extension (by down-set size)."""
         return sorted(range(self.n), key=lambda i: self.down[i].bit_count())
 
-    def lower_covers(self, j: int) -> list[int]:
-        """Maximal elements strictly below ``j``."""
-        return list(self.covers[j])
-
     # -- derived data, built once per carrier -----------------------------
 
     @derived
@@ -299,14 +295,28 @@ class FiniteLattice:
 
     @derived
     def covers(self) -> tuple[tuple[int, ...], ...]:
-        """``covers[j]``: the lower covers of ``j``, in increasing index order."""
-        up = self.up
+        """``covers[j]``: the lower covers of ``j``, in increasing index order.
+
+        They are the maximal members of the strict down-set of ``j``: take
+        the highest index left, climb while another member left lies above
+        it, record the maximal member reached and drop its down-set.  No
+        cover drops with another's down-set, and a member maximal among those
+        left is maximal among all (a member above it dropped with a down-set
+        holding it too), so exactly the covers are recorded.  A climb's
+        members drop with the cover they reach: ``j`` costs at most ``|↓j|``
+        steps, and one per cover on carriers indexed along a linear extension
+        (mask, down-set, sublattice), where nothing is climbed."""
+        up, down = self.up, self.down
         out = []
-        for j, below in enumerate(self.down):
-            strictly_below = below ^ (1 << j)
-            out.append(
-                tuple(i for i in bits(strictly_below) if up[i] & strictly_below == 1 << i)
-            )
+        for j, below in enumerate(down):
+            left, found = below ^ 1 << j, 0
+            while left:
+                s = left.bit_length() - 1
+                while above := up[s] & left ^ 1 << s:
+                    s = (above & -above).bit_length() - 1
+                found |= 1 << s
+                left &= ~down[s]
+            out.append(tuple(bits(found)))
         return tuple(out)
 
     @derived
@@ -526,16 +536,11 @@ def _mask_lattice(name: str, elements: Sequence[str]) -> FiniteLattice:
     """The Boolean algebra on ``2^k`` elements in mask mode: an index is a
     subset mask of ``k`` generators, meet is ``&`` and join is ``|``."""
     n = len(elements)
-    up, down = [1 << i for i in range(n)], [1 << i for i in range(n)]
-    for d in range(n.bit_length() - 1):
-        bit = 1 << d
-        for i in range(n):
-            if i & bit:
-                down[i] |= down[i ^ bit]
-            else:
-                up[i] |= up[i | bit]
+    # the subsets of a | bit are those of a, each with and without bit
+    down = _subset_folds([1 << d for d in range(n.bit_length() - 1)], lambda r, b: r | r << b, 1)
+    up = tuple(down[n - 1 ^ i] << i for i in range(n))  # i | s = i + s for s outside i
     return FiniteLattice(
-        name, tuple(elements), tuple(up), tuple(down), bottom=0, top=n - 1, op_mode=_MASK
+        name, tuple(elements), up, tuple(down), bottom=0, top=n - 1, op_mode=_MASK
     )
 
 
@@ -590,6 +595,17 @@ def _union_closure(below: Iterable[int]) -> set[int]:
     return family
 
 
+def _subset_folds(values: Sequence[Any], op: Callable[[Any, Any], Any], start: Any) -> list[Any]:
+    """Entry ``a`` is ``op`` folded from ``start`` over ``values[i]`` for
+    the set bits ``i`` of ``a``, in increasing order: the table doubles once
+    per value, each new entry one ``op`` on an old one, so O(2^k) steps for
+    ``k`` values instead of O(2^k · k) for folding every subset anew."""
+    table = [start]
+    for v in values:
+        table += [op(t, v) for t in table]
+    return table
+
+
 def poset_from_covers(
     labels: Sequence[str], covers: Iterable[tuple[int | str, int | str]]
 ) -> FinitePoset:
@@ -628,11 +644,8 @@ def dualize(lattice: FiniteLattice) -> FiniteLattice:
 
 def cover_pairs(lattice: FiniteLattice) -> list[tuple[str, str]]:
     """The cover relation as (lower, higher) label pairs, for serialization."""
-    out: list[tuple[str, str]] = []
-    for j in range(lattice.n):
-        for i in lattice.lower_covers(j):
-            out.append((lattice.elements[i], lattice.elements[j]))
-    return out
+    labels = lattice.elements
+    return [(labels[i], labels[j]) for j, lows in enumerate(lattice.covers) for i in lows]
 
 
 def sublattice(

@@ -34,6 +34,7 @@ from .lattice import (
     LatticeMorphism,
     _mask_lattice,
     _outside,
+    _subset_folds,
     _transpose,
     _trusted,
     _union_closure,
@@ -233,9 +234,7 @@ def enumerate_topologies(
     grow) raise :class:`BudgetExceeded`."""
     require_distributive(lattice, "topological structures")
     atoms = complemented_atoms(lattice)
-    joins = [lattice.bottom]
-    for a in atoms:
-        joins += [lattice.join(j, a) for j in joins]
+    joins = _subset_folds(atoms, lattice.join, lattice.bottom)
     refusal = f"more than {budget} topologies on {lattice.name}"
     if budget < 1:
         raise BudgetExceeded(refusal)
@@ -319,9 +318,9 @@ def sublocale_lattice(omega: FiniteLattice) -> SublocaleLattice:
         raise NotDistributive(f"{omega.name}: sublocales need a distributive frame")
     primes = list(bits(analyze(omega).meet_primes))
     _require_primes(omega.name, len(primes))
-    by_primes = [1 << omega.top]
-    for p in primes:
-        by_primes += [s | sum({1 << omega.meet(p, v) for v in bits(s)}) for s in by_primes]
+    by_primes = _subset_folds(
+        primes, lambda s, p: s | sum({1 << omega.meet(p, v) for v in bits(s)}), 1 << omega.top
+    )
     lat = _mask_lattice(
         f"Subloc({omega.name})",
         ["{" + ",".join(omega.label(i) for i in bits(s)) + "}" for s in by_primes],

@@ -119,7 +119,7 @@ def enumerate_tables_recursively(lat):
             yield tuple(table)
             return
         h = order[pos]
-        bound = lat.meet_of(table[g] for g in lat.lower_covers(h))
+        bound = lat.meet_of(table[g] for g in lat.covers[h])
         for v in bits(lat.down[bound]):
             table[h] = v
             yield from rec(pos + 1)

@@ -130,6 +130,51 @@ def top_space_convergence_by_loop(tsp):
     return tuple(out)
 
 
+def is_continuous_by_loop(f):
+    """The per-subset loop that checked continuity: each subset's image and
+    its limit set's image rebuilt point by point, O(2^k · k)."""
+    for a in range(1 << f.source.n_points):
+        if f.image_mask(f.source.limtab[a]) & ~f.target.limtab[f.image_mask(a)]:
+            return False
+    return True
+
+
+def adherence_continuous_by_loop(values, source, target):
+    """The per-subset loop that checked closure continuity: each subset's
+    image and its closure's image rebuilt point by point."""
+    for a in range(1 << source.n_points):
+        img_of_closure = 0
+        for i in bits(source.adhtab[a]):
+            img_of_closure |= 1 << values[i]
+        img = 0
+        for i in bits(a):
+            img |= 1 << values[i]
+        if img_of_closure & ~target.adhtab[img]:
+            return False
+    return True
+
+
+def closure_violation_by_loop(adhtab):
+    """The grounded and additive checks on a closure table of in-range
+    entries as first written, each subset's union of singleton closures
+    rebuilt point by point: the first ``(axiom, witness)``, or None."""
+    if adhtab[0] != 0:
+        return "closure.grounded", "closure of the empty set must be empty"
+    for a in range(len(adhtab)):
+        expected = 0
+        for x in bits(a):
+            expected |= adhtab[1 << x]
+        if adhtab[a] != expected:
+            return "closure.additive", f"closure of {a:b} is not the union of its singletons'"
+    return None
+
+
+def preimages_by_loop(f):
+    """The preimage table of ``P_map``, one :meth:`SpaceMap.preimage_mask`
+    per subset of the target's points."""
+    return tuple(f.preimage_mask(b) for b in range(1 << f.target.n_points))
+
+
 def pullback_by_definition(cs, a):
     """Generator of the pulled-back filter by definition: the infimum of the
     elements whose point sets contain the point subset ``a``."""
@@ -671,6 +716,58 @@ class TestClosureSpaces:
                     assert is_continuous(f) == adherence_continuous(
                         f.values, a_src, a_tgt
                     )
+
+
+class TestSubsetTablesAgainstTheLoops:
+    """Continuity, closure and preimage tables built by the doubling fold
+    equal the per-subset loops they replaced."""
+
+    @staticmethod
+    def spaces():
+        return small_spaces() + [space_fixture(name) for name in space_fixture_names()]
+
+    @staticmethod
+    def two_point_tables():
+        return list(itertools.product(range(4), repeat=4))
+
+    def test_continuity_and_preimages_on_every_map(self):
+        spaces = self.spaces()
+        verdicts = set()
+        for src, tgt in itertools.product(spaces, repeat=2):
+            for f in all_point_maps(src, tgt):
+                verdicts.add(is_continuous(f))
+                assert is_continuous(f) == is_continuous_by_loop(f), f
+                assert P_map(f).values == preimages_by_loop(f), f
+        assert verdicts == {True, False}
+
+    def test_closure_tables_on_two_points(self):
+        accepted = 0
+        for tab in self.two_point_tables():
+            try:
+                FiniteAdherenceSpace(("a", "b"), tab)
+            except AxiomViolation as err:
+                got = (err.axiom, err.witness)
+            else:
+                got = None
+                accepted += 1
+            assert got == closure_violation_by_loop(tab), tab
+        assert accepted == 16
+
+    def test_closure_continuity_on_every_map(self):
+        closures = [
+            to_adherence(sp) for sp in self.spaces() if classify_space(sp).pretopological
+        ] + [
+            FiniteAdherenceSpace(("a", "b"), tab)
+            for tab in self.two_point_tables()
+            if closure_violation_by_loop(tab) is None
+        ]
+        verdicts = set()
+        for src, tgt in itertools.product(closures, repeat=2):
+            for values in itertools.product(range(tgt.n_points), repeat=src.n_points):
+                got = adherence_continuous(values, src, tgt)
+                verdicts.add(got)
+                assert got == adherence_continuous_by_loop(values, src, tgt), (src, tgt, values)
+        assert verdicts == {True, False}
 
 
 class TestPointSpacesOfAdherence:

@@ -532,6 +532,94 @@ class TestAnalysisOracles:
                 assert (a, b) == lat.covers[x][:2] and lat.join(a, b) == x
 
 
+# ---------------------------------------------------------------------------
+# oracle: the lower covers by scanning every strict down-set
+
+
+def covers_by_scan(lat):
+    """The lower covers as first computed: every member of each strict
+    down-set tested for having no other member above it, O(Σ|↓x|) up-row
+    tests (3^k on P(k))."""
+    up = lat.up
+    out = []
+    for j, below in enumerate(lat.down):
+        strictly_below = below ^ 1 << j
+        out.append(tuple(i for i in bits(strictly_below) if up[i] & strictly_below == 1 << i))
+    return tuple(out)
+
+
+def shuffled_carriers(lat, rng, count):
+    """``count`` rebuilds of ``lat`` from its cover pairs with the element
+    list shuffled, so the indices no longer follow a linear extension."""
+    pairs = cover_pairs(lat)
+    for _ in range(count):
+        labels = list(lat.elements)
+        rng.shuffle(labels)
+        yield build_lattice(lat.name + "~", labels, pairs)
+
+
+def first_pick_climbs(lat):
+    """Whether the highest index of some strict down-set is not maximal in
+    it, so that ``covers`` climbs from its first pick."""
+    for j, below in enumerate(lat.down):
+        left = below ^ 1 << j
+        s = left.bit_length() - 1
+        if left and lat.up[s] & left != 1 << s:
+            return True
+    return False
+
+
+class TestCoversAgainstTheScan:
+    """The maximal-pick ``covers`` equals the down-set scan on carriers in
+    every op mode, indexed along, against and across a linear extension."""
+
+    def test_small_coframes_and_their_duals(self):
+        carriers = list(small_coframes(14))
+        assert len(carriers) == 1105
+        for lat in carriers:
+            for side in (lat, dualize(lat)):
+                assert side.covers == covers_by_scan(side), side
+
+    def test_fixtures_and_their_duals(self):
+        names = lattice_fixture_names()
+        assert {"M3", "N5"} <= set(names)
+        for name in names:
+            lat = lattice_fixture(name)
+            for side in (lat, dualize(lat)):
+                assert side.covers == covers_by_scan(side), side
+
+    def test_powersets_and_their_duals(self):
+        for k in range(11):
+            lat = powerset_lattice(tuple("abcdefghij"[:k]))
+            for side in (lat, dualize(lat)):
+                assert side.covers == covers_by_scan(side), side
+                assert sum(map(len, side.covers)) == k << k >> 1
+
+    def test_shuffled_element_lists(self):
+        # the climb only runs when a member lies below one of lower index
+        rng = random.Random(20261019)
+        sources = list(small_coframes(12)) + [powerset_lattice(tuple("abcdef"))]
+        checked = climbed = 0
+        for lat in sources:
+            expected = set(cover_pairs(lat))
+            for shuffled in shuffled_carriers(lat, rng, 5):
+                assert shuffled.covers == covers_by_scan(shuffled), shuffled
+                assert set(cover_pairs(shuffled)) == expected, shuffled
+                checked += 1
+                climbed += first_pick_climbs(shuffled)
+        assert checked == 1715 and climbed > 1000, climbed
+
+    def test_mask_rows_are_the_inclusion_rows(self):
+        for k in range(9):
+            lat = powerset_lattice(tuple("abcdefgh"[:k]))
+            assert lat.up == tuple(
+                sum(1 << j for j in range(lat.n) if i & j == i) for i in range(lat.n)
+            )
+            assert lat.down == tuple(
+                sum(1 << j for j in range(lat.n) if i & j == j) for i in range(lat.n)
+            )
+
+
 class TestDerivedDataLifetime:
     def test_derived_data_is_built_once_and_kept(self):
         lat = downset_lattice(poset_from_covers(("a", "b", "c"), [("a", "c")]))
