@@ -176,18 +176,19 @@ class StructureClass:
         }
 
 
-# Each class test reads the structure and, for flags derived from other
-# flags, the memoising mapping it is evaluated through.
+# Each class test reads the flags: the carrier and table, the structure
+# for the flags that need its derived tables, and, for flags derived from
+# other flags, the flags themselves.
 
 
-def _strict(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
-    return cs.limtab[cs.lattice.bottom] == cs.lattice.top
+def _strict(flags: ClassFlags) -> bool:
+    return flags.limtab[flags.lattice.bottom] == flags.lattice.top
 
 
-def _limit(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
+def _limit(flags: ClassFlags) -> bool:
     # The table is antitone, so the law holds at comparable pairs; on a
     # distributive carrier it then holds everywhere iff it holds at the splits.
-    lat, tab = cs.lattice, cs.limtab
+    lat, tab = flags.lattice, flags.limtab
     meet = lat.meet
     for x, a, b in lat.splits:
         if tab[x] != meet(tab[a], tab[b]):
@@ -195,29 +196,29 @@ def _limit(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
     return True
 
 
-def _classical(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
-    tab = cs.limtab
-    return all(tab[g] == tab[c] for g, c in enumerate(cs.lattice.comp_above))
+def _classical(flags: ClassFlags) -> bool:
+    tab = flags.limtab
+    return all(tab[g] == tab[c] for g, c in enumerate(flags.lattice.comp_above))
 
 
-def _centered(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
-    lat, adh = cs.lattice, cs.adh
+def _centered(flags: ClassFlags) -> bool:
+    lat, adh = flags.lattice, flags.structure.adh
     return all(lat.leq(l, adh[l]) for l in range(lat.n))
 
 
-def _topological(cs: ConvergenceStructure, flags: Mapping[str, bool]) -> bool:
+def _topological(flags: ClassFlags) -> bool:
     from .topology import is_topological  # deferred: topology builds on this module
 
-    return is_topological(cs)
+    return is_topological(flags.structure)
 
 
 # The class tests in ascending cost: strict is O(1), limit and pretopological
 # O(n), classical O(n) meets of up-sets, centered needs the adherence table
 # and topological the topological modification.
-_CLASS_TESTS: dict[str, Callable[[ConvergenceStructure, Mapping[str, bool]], bool]] = {
+_CLASS_TESTS: dict[str, Callable[[ClassFlags], bool]] = {
     "strict": _strict,
     "limit": _limit,
-    "pretopological": lambda cs, flags: flags["strict"] and flags["limit"],
+    "pretopological": lambda flags: flags["strict"] and flags["limit"],
     "classical": _classical,
     "centered": _centered,
     "topological": _topological,
@@ -228,18 +229,45 @@ CLASS_COST_ORDER = tuple(_CLASS_TESTS)
 
 class ClassFlags(Mapping[str, bool]):
     """The class flags of one structure, each computed on first read and
-    kept; iteration yields the names cheapest first."""
+    kept; iteration yields the names cheapest first.
 
-    __slots__ = ("structure", "_known")
+    ``ClassFlags(structure)`` reads a structure;
+    ``ClassFlags.of_table(lattice, limtab)`` reads an antitone table on a
+    distributive carrier, which the caller vouches for, and builds its
+    structure (a trusted build) only when ``structure`` is first read: by
+    the ``centered`` or ``topological`` test, or by the caller.  The other
+    four flags read only ``lattice`` and ``limtab``.
+    """
+
+    __slots__ = ("lattice", "limtab", "_structure", "_known")
 
     def __init__(self, structure: ConvergenceStructure) -> None:
-        self.structure = structure
+        self.lattice = structure.lattice
+        self.limtab = structure.limtab
+        self._structure: ConvergenceStructure | None = structure
         self._known: dict[str, bool] = {}
+
+    @classmethod
+    def of_table(cls, lattice: FiniteLattice, limtab: tuple[int, ...]) -> ClassFlags:
+        flags = cls.__new__(cls)
+        flags.lattice = lattice
+        flags.limtab = limtab
+        flags._structure = None
+        flags._known = {}
+        return flags
+
+    @property
+    def structure(self) -> ConvergenceStructure:
+        if self._structure is None:
+            self._structure = _trusted(
+                ConvergenceStructure, lattice=self.lattice, limtab=self.limtab
+            )
+        return self._structure
 
     def __getitem__(self, name: str) -> bool:
         known = self._known
         if name not in known:
-            known[name] = _CLASS_TESTS[name](self.structure, self)
+            known[name] = _CLASS_TESTS[name](self)
         return known[name]
 
     def __iter__(self) -> Iterator[str]:

@@ -387,8 +387,11 @@ def random_antitone_table(
     """
     table = [0] * lattice.n
     covers, members = lattice.covers, lattice.down_members
+    meet, top = lattice.meet, lattice.top
     for h in lattice.rank_order():
-        bound = lattice.meet_of(table[g] for g in covers[h])
+        bound = top
+        for g in covers[h]:
+            bound = meet(bound, table[g])
         if pretopological and len(covers[h]) != 1:
             table[h] = bound
         else:
@@ -416,27 +419,46 @@ def enumerate_antitone_tables(
     tables stay antitone on any carrier; on a distributive one they are
     exactly the pretopological tables, one per antitone map from the
     join-irreducibles, whose value at a join-irreducible ranges over the
-    down-set of the value at its one lower cover.  Only the join-irreducibles
-    branch, so a table costs O(n)."""
-    order = lattice.rank_order()
-    covers = lattice.covers
-    members = lattice.down_members
-    fixed = [pretopological and len(covers[h]) != 1 for h in order]
+    down-set of the value at its one lower cover.
+
+    The tables are listed by a mixed-radix odometer (Knuth, TAOCP 4A,
+    7.2.1.1, Algorithm M) whose radix at a position depends on the values
+    before it: descend along the rank order, folding each meet, with a fixed
+    position taking it and a branching one its first option; yield; then
+    advance the last branching position with an option left and descend
+    again from the position after it.  A table costs at most one meet per
+    cover pair, and no recursion."""
+    covers, members = lattice.covers, lattice.down_members
+    meet, top = lattice.meet, lattice.top
+    # per position along the rank order: the element, its lower covers, and
+    # whether it branches
+    steps = [
+        (h, covers[h], not pretopological or len(covers[h]) == 1)
+        for h in lattice.rank_order()
+    ]
+    size = len(steps)
+    options: list[tuple[int, ...]] = [()] * size
+    chosen = [0] * size  # index of the current option at a branching position
     table = [0] * lattice.n
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        # fixed positions take their value without branching
-        while pos < len(order) and fixed[pos]:
-            h = order[pos]
-            table[h] = lattice.meet_of(table[g] for g in covers[h])
-            pos += 1
-        if pos == len(order):
-            yield tuple(table)
+    pos = 0
+    while True:
+        for p in range(pos, size):
+            h, lows, branches = steps[p]
+            bound = top
+            for g in lows:
+                bound = meet(bound, table[g])
+            if branches:
+                options[p] = opts = members[bound]
+                chosen[p] = 0
+                table[h] = opts[0]
+            else:
+                table[h] = bound
+        yield tuple(table)
+        pos = size - 1
+        while pos >= 0 and (not steps[pos][2] or chosen[pos] + 1 == len(options[pos])):
+            pos -= 1
+        if pos < 0:
             return
-        h = order[pos]
-        bound = lattice.meet_of(table[g] for g in covers[h])
-        for v in members[bound]:
-            table[h] = v
-            yield from rec(pos + 1)
-
-    yield from rec(0)
+        chosen[pos] += 1
+        table[steps[pos][0]] = options[pos][chosen[pos]]
+        pos += 1

@@ -117,10 +117,11 @@ class FiniteLattice:
     principal up-set / down-set of ``i`` (reflexive).  ``bottom`` and ``top``
     are element indices.
 
-    Derived data (the :func:`analyze` report, the position of each label,
-    the atoms, the least complemented element above each element, the
-    nonzero-meet rows, the dual, the lower covers and the splits) is built
-    on first use and kept with the carrier, so it is freed together with it.
+    Derived data (the :func:`analyze` report, the rank order, the position
+    of each label, the atoms, the least complemented element above each
+    element, the nonzero-meet rows, the dual, the lower covers and the
+    splits) is built on first use and kept with the carrier, so it is freed
+    together with it.
     """
 
     name: str
@@ -190,9 +191,10 @@ class FiniteLattice:
             acc = self.join(acc, x)
         return acc
 
-    def rank_order(self) -> list[int]:
-        """Element indices in a linear extension (by down-set size)."""
-        return sorted(range(self.n), key=lambda i: self.down[i].bit_count())
+    def rank_order(self) -> tuple[int, ...]:
+        """Element indices in a linear extension (by down-set size), sorted
+        once per carrier (:attr:`ranked`)."""
+        return self.ranked
 
     # -- derived data, built once per carrier -----------------------------
 
@@ -200,6 +202,11 @@ class FiniteLattice:
     def report(self) -> LatticeReport:
         """The :func:`analyze` report."""
         return _analysis(self)
+
+    @derived
+    def ranked(self) -> tuple[int, ...]:
+        """The linear extension of :meth:`rank_order`."""
+        return tuple(sorted(range(self.n), key=lambda i: self.down[i].bit_count()))
 
     @derived
     def positions(self) -> dict[str, int]:

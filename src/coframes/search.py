@@ -20,14 +20,18 @@ antitone table otherwise.
 
 Each candidate is judged through :class:`~coframes.convergence.ClassFlags`:
 only the flags the conjecture names are computed, cheapest first, and only
-until the verdict is known.  Every flag is exact at every carrier size; a
-full classification runs once, for the reported witness.
+until the verdict is known.  A candidate table is judged on the table
+(``ClassFlags.of_table``), so a structure is built only for a witness or for
+a flag that reads one (``centered``, ``topological``).  Every flag is exact
+at every carrier size; a full classification runs once, for the reported
+witness.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby, permutations, product
 from typing import Any, Iterator, Mapping
 
@@ -41,7 +45,7 @@ from .fixtures import (
     random_antitone_table,
     random_downset_lattice,
 )
-from .lattice import FiniteLattice, FinitePoset, _trusted, bits, downset_lattice
+from .lattice import FiniteLattice, FinitePoset, bits, downset_lattice
 from .topology import TopologicalStructure, enumerate_topologies, lim_of_C
 
 __all__ = [
@@ -239,18 +243,18 @@ def _names_pretopological(antecedent: tuple[str, ...]) -> bool:
     return "pretopological" in antecedent or {"strict", "limit"} <= set(antecedent)
 
 
-def _candidates(
-    antecedent: tuple[str, ...], lat: FiniteLattice
-) -> Iterator[ConvergenceStructure]:
-    """Every structure on the carrier that can satisfy the antecedent: the
-    topological ones when it names ``topological``, else the pretopological
-    ones when it implies ``pretopological``, else every antitone table."""
+def _candidates(antecedent: tuple[str, ...], lat: FiniteLattice) -> Iterator[ClassFlags]:
+    """The flags of every structure on the carrier that can satisfy the
+    antecedent: the topological ones when it names ``topological``, else the
+    pretopological ones when it implies ``pretopological``, else every
+    antitone table.  Tables are judged as tables; a structure is built only
+    when a flag or the caller reads one."""
     if "topological" in antecedent:
-        return map(lim_of_C, enumerate_topologies(lat))
+        return map(ClassFlags, map(lim_of_C, enumerate_topologies(lat)))
     tables = enumerate_antitone_tables(
         lat, pretopological=_names_pretopological(antecedent)
     )
-    return (_trusted(ConvergenceStructure, lattice=lat, limtab=tab) for tab in tables)
+    return map(partial(ClassFlags.of_table, lat), tables)
 
 
 def _random_candidate(
@@ -259,10 +263,10 @@ def _random_candidate(
     lat: FiniteLattice,
     topologies: dict[FiniteLattice, list[TopologicalStructure]],
     judged: set[tuple[FiniteLattice, Any]],
-) -> ConvergenceStructure | None:
-    """One seeded draw from the class of :func:`_candidates` on ``lat``, or
-    ``None`` when the same structure on ``lat`` was drawn, and so judged,
-    before.
+) -> ClassFlags | None:
+    """The flags of one seeded draw from the class of :func:`_candidates` on
+    ``lat``, or ``None`` when the same structure on ``lat`` was drawn, and so
+    judged, before.
 
     ``topologies`` (each carrier's topologies, listed on its first draw) and
     ``judged`` (the carrier and draw of every structure returned) are owned
@@ -282,8 +286,8 @@ def _random_candidate(
         return None
     judged.add((lat, drawn))
     if "topological" in antecedent:
-        return lim_of_C(drawn)
-    return _trusted(ConvergenceStructure, lattice=lat, limtab=drawn)
+        return ClassFlags(lim_of_C(drawn))
+    return ClassFlags.of_table(lat, drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +363,15 @@ def search_counterexample(
     antecedent = conjecture.antecedent
     for lat in small_coframes(max_lattice):
         lattices += 1
-        for cs in _candidates(antecedent, lat):
+        for flags in _candidates(antecedent, lat):
             structures += 1
             if structures > _EXHAUSTIVE_STRUCTURE_CAP:
                 raise BudgetExceeded(
                     f"more than {_EXHAUSTIVE_STRUCTURE_CAP} candidate structures; "
                     "lower --max-lattice"
                 )
-            if conjecture.refuted_by(ClassFlags(cs)):
-                return result(f"enumerated:{lat.name}[{lat.n}]", cs)
+            if conjecture.refuted_by(flags):
+                return result(f"enumerated:{lat.name}[{lat.n}]", flags.structure)
 
     # the carrier pool, each carrier's topologies and the structures judged
     # live for this call only
@@ -377,10 +381,10 @@ def search_counterexample(
     judged: set = set()
     for i in range(budget):
         lat = random_downset_lattice(rng, max(8, max_lattice), carriers=carriers)
-        cs = _random_candidate(antecedent, rng, lat, topologies, judged)
+        flags = _random_candidate(antecedent, rng, lat, topologies, judged)
         structures += 1
-        if cs is not None and conjecture.refuted_by(ClassFlags(cs)):
-            return result(f"random:{i}", cs)
+        if flags is not None and conjecture.refuted_by(flags):
+            return result(f"random:{i}", flags.structure)
 
     return SearchResult(
         conjecture=conjecture,

@@ -110,6 +110,7 @@ TRUSTED_SITES = {
     ("adherence", "lim_of_nu"),
     ("convergence", "s1"),
     ("convergence", "s_infinity"),
+    ("convergence", "structure"),
     ("duality", "P_map"),
     ("duality", "P_space"),
     ("duality", "epsilon"),
@@ -131,8 +132,6 @@ TRUSTED_SITES = {
     ("lattice", "adjoint"),
     ("lattice", "compose"),
     ("lattice", "identity_morphism"),
-    ("search", "_candidates"),
-    ("search", "_random_candidate"),
     ("topology", "C_of_nu"),
     ("topology", "enumerate_topologies"),
     ("topology", "lim_of_C"),
@@ -328,11 +327,13 @@ def _run_producers():
     for ts in topologies[::5]:
         top_space_convergence(pt_top(ts))
 
-    # search candidates, one per antecedent class
+    # search candidates, one per antecedent class, and the structures their
+    # flags build
     for lat in carriers:
         for antecedent in ((), ("pretopological",), ("topological",)):
-            list(islice(_candidates(antecedent, lat), 40))
-            _random_candidate(antecedent, rng, lat, {}, set())
+            candidates = list(islice(_candidates(antecedent, lat), 40))
+            candidates.append(_random_candidate(antecedent, rng, lat, {}, set()))
+            assert all(flags.structure.limtab == flags.limtab for flags in candidates)
 
 
 class TestTrustedBuilds:

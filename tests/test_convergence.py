@@ -108,9 +108,12 @@ def antitone_by_pairs(lat, tab):
     return all(lat.leq(tab[h], tab[g]) for g in range(lat.n) for h in bits(lat.up[g]))
 
 
-def enumerate_tables_recursively(lat):
-    """The table enumeration as first written: recursion along the rank
-    order, each value over the down-set of the meet at the lower covers."""
+def enumerate_tables_recursively(lat, pretopological=False):
+    """The table enumeration as first written, the oracle for the order of
+    ``enumerate_antitone_tables``: recursion along the rank order, each value
+    over the down-set of the meet at the lower covers, or that meet itself
+    at a fixed position (``pretopological``: every element that does not
+    have exactly one lower cover)."""
     order = lat.rank_order()
     table = [0] * lat.n
 
@@ -120,6 +123,10 @@ def enumerate_tables_recursively(lat):
             return
         h = order[pos]
         bound = lat.meet_of(table[g] for g in lat.covers[h])
+        if pretopological and len(lat.covers[h]) != 1:
+            table[h] = bound
+            yield from rec(pos + 1)
+            return
         for v in bits(lat.down[bound]):
             table[h] = v
             yield from rec(pos + 1)
@@ -364,10 +371,23 @@ class TestCompletionStep:
             assert s1(out, "pretop").limtab == out.limtab
 
     def test_enumeration_order_is_unchanged(self):
-        for lat in list(small_coframes(7)) + [lattice_fixture("V5"), lattice_fixture("PX3")]:
-            assert list(enumerate_antitone_tables(lat)) == list(
-                enumerate_tables_recursively(lat)
-            ), lat
+        # every carrier up to 7 elements and its dual, a mask carrier and a
+        # dual mask one, and the small fixtures, the non-distributive included
+        carriers = [lat for lat in small_coframes(7) for lat in (lat, lat.dual)]
+        carriers += [powerset_lattice(tuple("abc")), powerset_lattice(tuple("ab")).dual]
+        fixtures = [lattice_fixture(name) for name in lattice_fixture_names()]
+        carriers += [lat for lat in dict.fromkeys(fixtures) if lat.n <= 8]
+        assert {"M3", "N5"} <= {lat.name for lat in carriers}
+        tables = 0
+        for lat in carriers:
+            for pretopological in (False, True):
+                listed = list(enumerate_antitone_tables(lat, pretopological=pretopological))
+                assert listed == list(enumerate_tables_recursively(lat, pretopological)), (
+                    lat,
+                    pretopological,
+                )
+                tables += len(listed)
+        assert len(carriers) == 55 and tables == 64064
 
     def test_family_step_equals_strict_limit_step(self):
         rng = random.Random(11)

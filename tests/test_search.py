@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from coframes import analyze
+from coframes import convergence as convergence_module
 from coframes import search as search_module
 from coframes.adherence import adh0_table, adh_table
 from coframes.convergence import (
@@ -116,6 +117,36 @@ class TestLazyFlags:
                     full.flags()
                 ), (conjecture.text(), cs)
             assert dict(ClassFlags(cs)) == full.flags()
+
+    def test_table_flags_match_structure_flags(self):
+        for cs in self.STRUCTURES:
+            by_structure = dict(ClassFlags(cs))
+            assert dict(ClassFlags.of_table(cs.lattice, cs.limtab)) == by_structure
+            for conjecture in self.CONJECTURES:
+                assert conjecture.refuted_by(
+                    ClassFlags.of_table(cs.lattice, cs.limtab)
+                ) == conjecture.refuted_by(by_structure), (conjecture.text(), cs)
+
+    def test_table_flags_build_a_structure_only_when_one_is_read(self, monkeypatch):
+        built = []
+
+        def counting(cls, **fields):
+            built.append(fields["limtab"])
+            return trusted(cls, **fields)
+
+        trusted = convergence_module._trusted
+        monkeypatch.setattr(convergence_module, "_trusted", counting)
+        for cs in self.STRUCTURES:
+            flags = ClassFlags.of_table(cs.lattice, cs.limtab)
+            for name in ("strict", "limit", "pretopological", "classical"):
+                flags[name]
+        assert built == []
+        cs = self.STRUCTURES[-1]
+        flags = ClassFlags.of_table(cs.lattice, cs.limtab)
+        assert dict(flags) == dict(ClassFlags(cs))
+        assert flags.structure is flags.structure
+        assert built == [cs.limtab]
+        assert ClassFlags(cs).structure is cs
 
     def test_derived_tables_are_built_once_per_structure(self):
         for cs in self.STRUCTURES:
@@ -235,7 +266,7 @@ class TestClassGenerators:
         for lat in sweep + fixture_carriers():
             everything = [ConvergenceStructure(lat, t) for t in enumerate_antitone_tables(lat)]
             for name in ("topological", "pretopological"):
-                generated = [cs.limtab for cs in _candidates((name,), lat)]
+                generated = [flags.limtab for flags in _candidates((name,), lat)]
                 expected = {cs.limtab for cs in everything if ClassFlags(cs)[name]}
                 assert len(generated) == len(set(generated)), (lat, name)
                 assert set(generated) == expected, (lat, name)
@@ -247,12 +278,14 @@ class TestClassGenerators:
         lat = lattice_fixture("V5")
         pretop = set(enumerate_antitone_tables(lat, pretopological=True))
         for antecedent in (("pretopological",), ("limit", "strict"), ("centered", "pretopological")):
-            assert {cs.limtab for cs in _candidates(antecedent, lat)} == pretop
+            assert {flags.limtab for flags in _candidates(antecedent, lat)} == pretop
         everything = set(enumerate_antitone_tables(lat))
         for antecedent in (("centered",), ("strict",), ("limit",)):
-            assert {cs.limtab for cs in _candidates(antecedent, lat)} == everything
-        topological = {cs.limtab for cs in _candidates(("pretopological", "topological"), lat)}
-        assert topological == {cs.limtab for cs in _candidates(("topological",), lat)}
+            assert {flags.limtab for flags in _candidates(antecedent, lat)} == everything
+        topological = {
+            flags.limtab for flags in _candidates(("pretopological", "topological"), lat)
+        }
+        assert topological == {flags.limtab for flags in _candidates(("topological",), lat)}
         assert topological < pretop
 
     def test_pretopological_tables_are_antitone_on_any_carrier(self):
@@ -271,10 +304,11 @@ class TestClassGenerators:
         rng = random.Random(7)
         for lat in list(small_coframes(7)) + fixture_carriers():
             for _ in range(5):
-                cs = _random_candidate(("pretopological",), rng, lat, {}, set())
+                flags = _random_candidate(("pretopological",), rng, lat, {}, set())
+                cs = ConvergenceStructure(lat, flags.limtab)
                 assert ClassFlags(cs)["pretopological"], (lat, cs)
-            cs = _random_candidate(("topological",), rng, lat, {}, set())
-            assert ClassFlags(cs)["topological"], (lat, cs)
+            flags = _random_candidate(("topological",), rng, lat, {}, set())
+            assert ClassFlags(flags.structure)["topological"], (lat, flags.structure)
 
 
 class TestSearch:
