@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .convergence import ConvergenceStructure
@@ -24,9 +25,9 @@ from .errors import AxiomViolation, BudgetExceeded
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
+    _subset_folds,
     _trusted,
     analyze,
-    bits,
     left_adjoint,
     require_distributive,
     require_same_carrier,
@@ -83,7 +84,8 @@ def adherence_violation(
     Checked: monotonicity (along cover pairs, which implies it everywhere);
     bottom maps to bottom; additivity on complemented pairs, i.e. on that
     Boolean algebra each value is the join of the values at the atoms below
-    (O(c · atoms) joins); each value is the infimum over the complemented
+    (one join per complemented element, by :func:`_subset_folds` over the
+    atoms); each value is the infimum over the complemented
     elements above.  All-pairs additivity follows on a distributive carrier.
     The test suite compares each check with its definition.
     """
@@ -91,7 +93,6 @@ def adherence_violation(
     if len(nutab) != len(lat.elements) or min(nutab) < 0 or max(nutab) >= len(nutab):
         return ("adherence.table", "table does not match carrier")
     require_distributive(lat, "adherence structures")
-    comp = lat.report.complemented
     up = lat.up
     for m, lows in enumerate(lat.covers):
         for l in lows:
@@ -106,19 +107,21 @@ def adherence_violation(
             "adherence.bottom",
             f"adherence of bottom is {lat.label(nutab[lat.bottom])!r}",
         )
-    atoms = sum(1 << a for a in complemented_atoms(lat))
-    down = lat.down
-    # smallest first, so the atoms' join below a failing element is additive
-    for j in sorted(bits(comp), key=lambda c: down[c].bit_count()):
-        below = list(bits(down[j] & atoms))
-        if nutab[j] != lat.join_of(nutab[a] for a in below):
-            a, b = below[0], lat.join_of(below[1:])
-            return (
-                "adherence.additive",
-                f"adherence of {lat.label(a)!r} v {lat.label(b)!r} is "
-                f"{lat.label(nutab[j])!r}, expected "
-                f"{lat.label(lat.join(nutab[a], nutab[b]))!r}",
-            )
+    # the value at each complemented element against the join of the values
+    # at the atoms below it; the first failure reported is the smallest
+    atoms, joins, join = lat.comp_atoms, lat.comp_joins, lat.join
+    folds = _subset_folds([nutab[a] for a in atoms], join, lat.bottom)
+    bad = [s for s, v in enumerate(folds) if nutab[joins[s]] != v]
+    if bad:
+        down = lat.down
+        s = min(bad, key=lambda s: (down[joins[s]].bit_count(), joins[s]))
+        a, b = atoms[(s & -s).bit_length() - 1], joins[s & s - 1]
+        return (
+            "adherence.additive",
+            f"adherence of {lat.label(a)!r} v {lat.label(b)!r} is "
+            f"{lat.label(nutab[joins[s]])!r}, expected "
+            f"{lat.label(join(nutab[a], nutab[b]))!r}",
+        )
     # given monotonicity, the infimum is the value at the least complemented
     # element above
     for l, c in enumerate(lat.comp_above):
@@ -281,13 +284,9 @@ def final_lift_adh(
 
 
 def complemented_atoms(lattice: FiniteLattice) -> tuple[int, ...]:
-    """Minimal nonbottom complemented elements (the complemented part of a
-    distributive lattice is a finite Boolean algebra, so these generate it
-    by joins)."""
-    comp = analyze(lattice).complemented
-    bottom = 1 << lattice.bottom
-    down = lattice.down
-    return tuple(a for a in bits(comp & ~bottom) if down[a] & comp == bottom | 1 << a)
+    """Minimal nonbottom complemented elements, kept with the carrier
+    (:attr:`FiniteLattice.comp_atoms`)."""
+    return lattice.comp_atoms
 
 
 def adherence_from_atom_values(
@@ -299,7 +298,9 @@ def adherence_from_atom_values(
     Any choice of values is legal: on a distributive carrier the additive
     extension to complemented elements and the infimum extension everywhere
     else satisfy all axioms (a trusted build), and every adherence structure
-    arises this way exactly once.
+    arises this way exactly once.  The value at each complemented element,
+    :attr:`FiniteLattice.comp_joins` entry ``s``, is the join of the values
+    at the atoms of ``s``: one join per element by :func:`_subset_folds`.
     """
     require_distributive(lattice, "adherence structures")
     atoms = complemented_atoms(lattice)
@@ -308,12 +309,9 @@ def adherence_from_atom_values(
             "adherence.atoms",
             f"expected {len(atoms)} element indices, got {list(values)}",
         )
-    comp = analyze(lattice).complemented
-    on_comp = {}
-    for c in bits(comp):
-        on_comp[c] = lattice.join_of(
-            v for a, v in zip(atoms, values) if lattice.leq(a, c)
-        )
+    on_comp = dict(
+        zip(lattice.comp_joins, _subset_folds(values, lattice.join, lattice.bottom))
+    )
     tab = tuple(on_comp[c] for c in lattice.comp_above)
     return _trusted(AdherenceStructure, lattice=lattice, nutab=tab)
 
@@ -328,16 +326,9 @@ def enumerate_adherence_structures(
         raise BudgetExceeded(
             f"{total} adherence structures on {lattice.name} (budget {budget})"
         )
-    values = [0] * len(atoms)
-    while True:
-        yield adherence_from_atom_values(lattice, values)
-        i = 0
-        while i < len(values) and values[i] == lattice.n - 1:
-            values[i] = 0
-            i += 1
-        if i == len(values):
-            return
-        values[i] += 1
+    # the first atom varies fastest
+    for values in product(range(lattice.n), repeat=len(atoms)):
+        yield adherence_from_atom_values(lattice, values[::-1])
 
 
 def random_adherence_structure(

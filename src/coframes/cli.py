@@ -24,11 +24,9 @@ from .documents import (
     adherence_space_to_doc,
     canonical_json,
     convergence_to_doc,
-    lattice_to_doc,
     space_to_doc,
     structure_to_doc,
     topological_space_to_doc,
-    topology_to_doc,
 )
 from .duality import (
     FiniteAdherenceSpace,
@@ -45,18 +43,7 @@ from .duality import (
 )
 from .errors import EngineError
 from .filters import Filter, UpSet, is_proper
-from .fixtures import (
-    adherence_fixture,
-    adherence_fixture_names,
-    convergence_fixture,
-    convergence_fixture_names,
-    lattice_fixture,
-    lattice_fixture_names,
-    space_fixture,
-    space_fixture_names,
-    topology_fixture,
-    topology_fixture_names,
-)
+from .fixtures import FIXTURES, fixture
 from .lattice import FiniteLattice, analyze, bits
 from .laws import run_all, run_suite, suite_names
 from .search import parse_conjecture, search_counterexample
@@ -296,27 +283,18 @@ def _cmd_search(args, report: RunReport) -> None:
         report.payload["exhausted"] = True
 
 
-_FIXTURE_REGISTRY = (
-    ("lattice", lattice_fixture_names, lattice_fixture, lattice_to_doc),
-    ("convergence", convergence_fixture_names, convergence_fixture, convergence_to_doc),
-    ("adherence", adherence_fixture_names, adherence_fixture, structure_to_doc),
-    ("topology", topology_fixture_names, topology_fixture, topology_to_doc),
-    ("space", space_fixture_names, space_fixture, space_to_doc),
-)
-
-
 def _cmd_fixtures(args, report: RunReport) -> None:
     if args.name is not None:
-        for kind, names, get, to_doc in _FIXTURE_REGISTRY:
-            if args.name in names():
+        for kind, builders in FIXTURES.items():
+            if args.name in builders:
                 report.payload["kind"] = kind
                 report.payload["name"] = args.name
-                report.payload["document"] = to_doc(get(args.name))
+                report.payload["document"] = structure_to_doc(fixture(kind, args.name))
                 return
         raise EngineError(f"unknown fixture {args.name!r}")
-    for kind, names, _, _ in _FIXTURE_REGISTRY:
+    for kind, builders in FIXTURES.items():
         if args.kind in (None, kind):
-            report.payload[kind] = list(names())
+            report.payload[kind] = list(builders)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("fixtures", parents=[common], help="list built-in fixtures")
-    p.add_argument("--kind", choices=[k for k, *_ in _FIXTURE_REGISTRY])
+    p.add_argument("--kind", choices=list(FIXTURES))
     p.add_argument("--name", help="emit the document of one named fixture")
     p.set_defaults(handler=_cmd_fixtures)
     return parser

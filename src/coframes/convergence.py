@@ -10,8 +10,8 @@ pretopological / centered / topological), continuity and finality of coframe
 morphisms, the one-step completion and its least fixed point, which complete
 a structure into a limit (or pretopological) one, final lifts along sinks,
 and points.
-A structure builds its adherence tables, closed elements and points on first
-use and keeps them.
+A structure builds its adherence tables, closed elements, points and point
+sets on first use and keeps them.
 """
 
 from __future__ import annotations
@@ -129,6 +129,27 @@ class ConvergenceStructure:
         """The points: join-primes ``p`` whose filter converges above ``p``."""
         lat, tab = self.lattice, self.limtab
         return tuple(p for p in bits(lat.report.join_primes) if lat.leq(p, tab[p]))
+
+    @derived
+    def point_sets(self) -> tuple[int, ...]:
+        """Per element, the mask over :attr:`points` of the points below it."""
+        return _point_sets(self.lattice, self.points)
+
+
+def _point_sets(
+    lattice: FiniteLattice, points: Sequence[int], within: int = -1
+) -> tuple[int, ...]:
+    """Per element of the mask ``within`` (all of them by default), the mask
+    of the indices ``i`` with ``points[i]`` below it, and 0 elsewhere: the
+    transpose of the points' up-rows cut to ``within``, one step per
+    point-element pair in order."""
+    out = [0] * lattice.n
+    up = lattice.up
+    for i, p in enumerate(points):
+        bit = 1 << i
+        for l in bits(up[p] & within):
+            out[l] |= bit
+    return tuple(out)
 
 
 def convergence_structure(

@@ -28,6 +28,7 @@ from .convergence import (
     classify,
     s_infinity,
     StructureClass,
+    _point_sets,
 )
 from .errors import (
     AxiomViolation,
@@ -264,12 +265,7 @@ def P_map(f: SpaceMap) -> LatticeMorphism:
 def bullet(cs: ConvergenceStructure, element: int) -> int:
     """The set of points lying below an element, as a mask over the point
     list of the structure."""
-    up = cs.lattice.up
-    mask = 0
-    for i, p in enumerate(cs.points):
-        if up[p] >> element & 1:
-            mask |= 1 << i
-    return mask
+    return cs.point_sets[element]
 
 
 def kow(cs: ConvergenceStructure, point_filter: Filter) -> Filter:
@@ -301,7 +297,7 @@ def pt_space(cs: ConvergenceStructure) -> FiniteConvergenceSpace:
     pts = cs.points
     labels = tuple(lat.label(p) for p in pts)
     _check_point_count(labels)
-    point_sets = [bullet(cs, l) for l in range(lat.n)]
+    point_sets = cs.point_sets
     limtab = tuple(point_sets[tab[gen]] for gen in _subset_folds(pts, lat.join, lat.bottom))
     return _trusted(FiniteConvergenceSpace, points=labels, limtab=limtab)
 
@@ -326,7 +322,7 @@ def epsilon(cs: ConvergenceStructure) -> LatticeMorphism:
         LatticeMorphism,
         source=lat,
         target=powerset_lattice(labels),
-        values=tuple(bullet(cs, l) for l in range(lat.n)),
+        values=cs.point_sets,
         kind="coframe",
     )
 
@@ -492,15 +488,9 @@ def pt_adh(ns: AdherenceStructure) -> FiniteAdherenceSpace:
     ]
     labels = tuple(lat.label(p) for p in pts)
     _check_point_count(labels)
-    adhtab = []
-    for join in _subset_folds(pts, lat.join, lat.bottom):
-        closure = ns.nutab[join]
-        mask = 0
-        for i, p in enumerate(pts):
-            if lat.leq(p, closure):
-                mask |= 1 << i
-        adhtab.append(mask)
-    return _trusted(FiniteAdherenceSpace, points=labels, adhtab=tuple(adhtab))
+    point_sets, nutab = _point_sets(lat, pts), ns.nutab
+    adhtab = tuple(point_sets[nutab[join]] for join in _subset_folds(pts, lat.join, lat.bottom))
+    return _trusted(FiniteAdherenceSpace, points=labels, adhtab=adhtab)
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,13 +535,8 @@ def pt_top(ts: TopologicalStructure) -> FiniteTopologicalSpace:
     pts = list(bits(analyze(lat).join_primes))
     labels = tuple(lat.label(p) for p in pts)
     _check_point_count(labels)
-    family = set()
-    for c in bits(ts.closed):
-        mask = 0
-        for i, p in enumerate(pts):
-            if lat.leq(p, c):
-                mask |= 1 << i
-        family.add(mask)
+    point_sets = _point_sets(lat, pts, ts.closed)
+    family = {point_sets[c] for c in bits(ts.closed)}
     return _trusted(FiniteTopologicalSpace, points=labels, closed=tuple(sorted(family)))
 
 

@@ -1,22 +1,23 @@
 """Built-in corpus: named lattices and structures, plus seeded random
 generators used by the law suites and the search command.
 
-Fixture constructors are cached so that repeated lookups return the same
-carrier object (structures compare carriers by identity).
+Each fixture is built on first lookup and kept by name, so repeated lookups
+return the same carrier object (structures compare carriers by identity).
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .adherence import (
     AdherenceStructure,
     adherence_from_atom_values,
+    lim_of_nu,
     random_adherence_structure,
 )
 from .convergence import ConvergenceStructure
+from .duality import FiniteConvergenceSpace, convergence_space, pt_space
 from .errors import DocumentError
 from .lattice import (
     FiniteLattice,
@@ -29,6 +30,8 @@ from .lattice import (
 from .topology import TopologicalStructure, topological_structure
 
 __all__ = [
+    "FIXTURES",
+    "fixture",
     "lattice_fixture",
     "lattice_fixture_names",
     "convergence_fixture",
@@ -49,84 +52,6 @@ __all__ = [
 ]
 
 
-def _chain(name: str, labels: tuple[str, ...]) -> FiniteLattice:
-    return build_lattice(
-        name, labels, [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
-    )
-
-
-@lru_cache(maxsize=None)
-def _make_lattice(name: str) -> FiniteLattice:
-    if name == "CHAIN1":
-        return build_lattice("CHAIN1", ("0",), [])
-    if name == "CHAIN2":
-        return _chain("CHAIN2", ("0", "1"))
-    if name == "CHAIN3":
-        return _chain("CHAIN3", ("0", "m", "1"))
-    if name == "CHAIN4":
-        return _chain("CHAIN4", ("0", "a", "b", "1"))
-    if name == "CHAIN5":
-        return _chain("CHAIN5", ("0", "a", "b", "c", "1"))
-    if name == "BOOL1":
-        return powerset_lattice(("0",))
-    if name == "BOOL2":
-        return powerset_lattice(("0", "1"))
-    if name in ("BOOL3", "PX3"):
-        return powerset_lattice(("1", "2", "3"))
-    if name == "BOOL4":
-        return powerset_lattice(("1", "2", "3", "4"))
-    if name == "M3":
-        return build_lattice(
-            "M3",
-            ("0", "a", "b", "c", "1"),
-            [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
-        )
-    if name == "N5":
-        return build_lattice(
-            "N5",
-            ("0", "a", "b", "c", "1"),
-            [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")],
-        )
-    if name == "V5":
-        # downsets of the poset a < c > b: a 5-element non-Boolean distributive
-        # lattice whose only complemented elements are the bounds
-        poset = poset_from_covers(("a", "b", "c"), [("a", "c"), ("b", "c")])
-        return downset_lattice(poset, "V5")
-    raise DocumentError(f"unknown lattice fixture {name!r}")
-
-
-_LATTICE_NAMES = (
-    "CHAIN1",
-    "CHAIN2",
-    "CHAIN3",
-    "CHAIN4",
-    "CHAIN5",
-    "BOOL1",
-    "BOOL2",
-    "BOOL3",
-    "PX3",
-    "BOOL4",
-    "M3",
-    "N5",
-    "V5",
-)
-
-
-def lattice_fixture(name: str) -> FiniteLattice:
-    """Look up a named lattice from the corpus (same object every call)."""
-    if name not in _LATTICE_NAMES:
-        raise DocumentError(f"unknown lattice fixture {name!r}")
-    return _make_lattice(name)
-
-
-def lattice_fixture_names() -> tuple[str, ...]:
-    return _LATTICE_NAMES
-
-
-# ---------------------------------------------------------------------------
-# structure fixtures
-
-
 def discrete_structure(lattice: FiniteLattice) -> ConvergenceStructure:
     """Nothing converges anywhere: every filter's limit is bottom."""
     return ConvergenceStructure(lattice, (lattice.bottom,) * lattice.n)
@@ -137,188 +62,162 @@ def chaotic_structure(lattice: FiniteLattice) -> ConvergenceStructure:
     return ConvergenceStructure(lattice, (lattice.top,) * lattice.n)
 
 
-def _table_from_labels(
-    lattice: FiniteLattice, pairs: dict[str, str]
-) -> tuple[int, ...]:
-    return tuple(lattice.index(pairs[lattice.label(g)]) for g in range(lattice.n))
+def _chain(name: str, labels: tuple[str, ...]) -> FiniteLattice:
+    return build_lattice(
+        name, labels, [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
+    )
 
 
-@lru_cache(maxsize=None)
-def _make_convergence(name: str) -> ConvergenceStructure:
-    if name == "SIERP_LIM":
-        lat = lattice_fixture("BOOL2")
-        return ConvergenceStructure(
-            lat,
-            _table_from_labels(
-                lat,
-                {"{}": "{0,1}", "{0}": "{0}", "{1}": "{0,1}", "{0,1}": "{0}"},
-            ),
-        )
-    if name == "DISCRETE_BOOL2":
-        return discrete_structure(lattice_fixture("BOOL2"))
-    if name == "CHAOTIC_BOOL2":
-        return chaotic_structure(lattice_fixture("BOOL2"))
-    if name == "PX3_PRETOP":
-        from .adherence import lim_of_nu
-
-        return lim_of_nu(adherence_fixture("PX3_ADH"))
-    if name == "CHAIN3_NONCLASSICAL":
-        lat = lattice_fixture("CHAIN3")
-        return ConvergenceStructure(
-            lat, _table_from_labels(lat, {"0": "1", "m": "1", "1": "m"})
-        )
-    if name == "CHAIN3_PRETOP_GAP":
-        lat = lattice_fixture("CHAIN3")
-        return ConvergenceStructure(
-            lat, _table_from_labels(lat, {"0": "1", "m": "m", "1": "0"})
-        )
-    raise DocumentError(f"unknown convergence fixture {name!r}")
+def _limits(lattice_name: str, limits: dict[str, str]) -> ConvergenceStructure:
+    """The structure on a lattice fixture with the given limit per label."""
+    lat = lattice_fixture(lattice_name)
+    return ConvergenceStructure(lat, tuple(lat.index(limits[g]) for g in lat.elements))
 
 
-_CONVERGENCE_NAMES = (
-    "SIERP_LIM",
-    "DISCRETE_BOOL2",
-    "CHAOTIC_BOOL2",
-    "PX3_PRETOP",
-    "CHAIN3_NONCLASSICAL",
-    "CHAIN3_PRETOP_GAP",
-)
+def _atom_adherences(lattice_name: str, values: dict[str, str]) -> AdherenceStructure:
+    """The adherence structure on a lattice fixture with the given
+    adherence per complemented atom label."""
+    lat = lattice_fixture(lattice_name)
+    return adherence_from_atom_values(
+        lat, [lat.index(values[lat.label(a)]) for a in lat.comp_atoms]
+    )
+
+
+def _closed(lattice_name: str, labels: tuple[str, ...]) -> TopologicalStructure:
+    """The topological structure on a lattice fixture with the given closed
+    members."""
+    lat = lattice_fixture(lattice_name)
+    return topological_structure(lat, [lat.index(s) for s in labels])
+
+
+# kind -> name -> builder; the insertion order is the listing order of
+# `coframes fixtures`.  Names are unique across kinds.
+FIXTURES: dict[str, dict[str, Callable[[], Any]]] = {
+    "lattice": {
+        "CHAIN1": lambda: build_lattice("CHAIN1", ("0",), []),
+        "CHAIN2": lambda: _chain("CHAIN2", ("0", "1")),
+        "CHAIN3": lambda: _chain("CHAIN3", ("0", "m", "1")),
+        "CHAIN4": lambda: _chain("CHAIN4", ("0", "a", "b", "1")),
+        "CHAIN5": lambda: _chain("CHAIN5", ("0", "a", "b", "c", "1")),
+        "BOOL1": lambda: powerset_lattice(("0",)),
+        "BOOL2": lambda: powerset_lattice(("0", "1")),
+        "BOOL3": lambda: powerset_lattice(("1", "2", "3")),
+        "PX3": lambda: powerset_lattice(("1", "2", "3")),
+        "BOOL4": lambda: powerset_lattice(("1", "2", "3", "4")),
+        "M3": lambda: build_lattice(
+            "M3",
+            ("0", "a", "b", "c", "1"),
+            [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
+        ),
+        "N5": lambda: build_lattice(
+            "N5",
+            ("0", "a", "b", "c", "1"),
+            [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")],
+        ),
+        # downsets of the poset a < c > b: a 5-element non-Boolean distributive
+        # lattice whose only complemented elements are the bounds
+        "V5": lambda: downset_lattice(
+            poset_from_covers(("a", "b", "c"), [("a", "c"), ("b", "c")]), "V5"
+        ),
+    },
+    "convergence": {
+        "SIERP_LIM": lambda: _limits(
+            "BOOL2", {"{}": "{0,1}", "{0}": "{0}", "{1}": "{0,1}", "{0,1}": "{0}"}
+        ),
+        "DISCRETE_BOOL2": lambda: discrete_structure(lattice_fixture("BOOL2")),
+        "CHAOTIC_BOOL2": lambda: chaotic_structure(lattice_fixture("BOOL2")),
+        "PX3_PRETOP": lambda: lim_of_nu(adherence_fixture("PX3_ADH")),
+        "CHAIN3_NONCLASSICAL": lambda: _limits("CHAIN3", {"0": "1", "m": "1", "1": "m"}),
+        "CHAIN3_PRETOP_GAP": lambda: _limits("CHAIN3", {"0": "1", "m": "m", "1": "0"}),
+    },
+    "adherence": {
+        # closure operator of the Sierpinski topology: point 0 closed, point 1 dense
+        "SIERP_ADH": lambda: _atom_adherences("BOOL2", {"{0}": "{0}", "{1}": "{0,1}"}),
+        # adherences drift along 1 -> 2 -> 3: only down-closed tails are fixed
+        "PX3_ADH": lambda: _atom_adherences(
+            "PX3", {"{1}": "{1,2}", "{2}": "{2,3}", "{3}": "{3}"}
+        ),
+        "IDENTITY_ADH_BOOL2": lambda: AdherenceStructure(
+            lattice_fixture("BOOL2"), (0, 1, 2, 3)
+        ),
+        "VOID_ADH_BOOL2": lambda: AdherenceStructure(lattice_fixture("BOOL2"), (0,) * 4),
+    },
+    "topology": {
+        "SIERP_TOP": lambda: _closed("BOOL2", ("{}", "{0}", "{0,1}")),
+        "INDISCRETE_TOP": lambda: _closed("BOOL2", ("{}", "{0,1}")),
+        "DISCRETE_TOP": lambda: _closed("BOOL2", ("{}", "{0}", "{1}", "{0,1}")),
+        "PX3_TOP": lambda: _closed("PX3", ("{}", "{3}", "{2,3}", "{1,2,3}")),
+    },
+    "space": {
+        # point 1 is dense: its singleton filter also converges to 0
+        "SIERP_SPACE": lambda: convergence_space(("0", "1"), (0b11, 0b01, 0b11, 0b01)),
+        "ONE_POINT_SPACE": lambda: convergence_space(("*",), (1, 1)),
+        "EMPTY_SPACE": lambda: convergence_space((), (0,)),
+        # the discrete topology: singleton filters converge to their point,
+        # the whole-carrier filter to nothing, the improper filter everywhere
+        "DISCRETE2_SPACE": lambda: convergence_space(("0", "1"), (0b11, 0b01, 0b10, 0b00)),
+        "CHAOTIC2_SPACE": lambda: convergence_space(("0", "1"), (0b11,) * 4),
+        # both singleton filters converge everywhere but their intersection
+        # converges nowhere: fails the pairwise limit law
+        "NONLIMIT2_SPACE": lambda: convergence_space(("0", "1"), (0b11, 0b11, 0b11, 0b00)),
+        "PX3_SPACE": lambda: pt_space(convergence_fixture("PX3_PRETOP")),
+    },
+}
+
+_built: dict[str, Any] = {}  # fixture name -> the object built on its first lookup
+
+
+def fixture(kind: str, name: str) -> Any:
+    """The fixture ``name`` of ``kind``, built on its first lookup and kept
+    (same object every call)."""
+    builders = FIXTURES[kind]
+    if name not in builders:
+        raise DocumentError(f"unknown {kind} fixture {name!r}")
+    built = _built.get(name)
+    if built is None:
+        built = _built[name] = builders[name]()
+    return built
+
+
+def lattice_fixture(name: str) -> FiniteLattice:
+    """Look up a named lattice from the corpus (same object every call)."""
+    return fixture("lattice", name)
+
+
+def lattice_fixture_names() -> tuple[str, ...]:
+    return tuple(FIXTURES["lattice"])
 
 
 def convergence_fixture(name: str) -> ConvergenceStructure:
-    if name not in _CONVERGENCE_NAMES:
-        raise DocumentError(f"unknown convergence fixture {name!r}")
-    return _make_convergence(name)
+    return fixture("convergence", name)
 
 
 def convergence_fixture_names() -> tuple[str, ...]:
-    return _CONVERGENCE_NAMES
-
-
-@lru_cache(maxsize=None)
-def _make_adherence(name: str) -> AdherenceStructure:
-    if name == "SIERP_ADH":
-        # closure operator of the Sierpinski topology: point 0 closed, point 1 dense
-        lat = lattice_fixture("BOOL2")
-        return adherence_from_atom_values(
-            lat, [lat.index("{0}"), lat.index("{0,1}")]
-        )
-    if name == "PX3_ADH":
-        # adherences drift along 1 -> 2 -> 3: only down-closed tails are fixed
-        lat = lattice_fixture("PX3")
-        values = {"{1}": "{1,2}", "{2}": "{2,3}", "{3}": "{3}"}
-        from .adherence import complemented_atoms
-
-        atoms = complemented_atoms(lat)
-        return adherence_from_atom_values(
-            lat, [lat.index(values[lat.label(a)]) for a in atoms]
-        )
-    if name == "IDENTITY_ADH_BOOL2":
-        lat = lattice_fixture("BOOL2")
-        return AdherenceStructure(lat, tuple(range(lat.n)))
-    if name == "VOID_ADH_BOOL2":
-        lat = lattice_fixture("BOOL2")
-        return AdherenceStructure(lat, (lat.bottom,) * lat.n)
-    raise DocumentError(f"unknown adherence fixture {name!r}")
-
-
-_ADHERENCE_NAMES = (
-    "SIERP_ADH",
-    "PX3_ADH",
-    "IDENTITY_ADH_BOOL2",
-    "VOID_ADH_BOOL2",
-)
+    return tuple(FIXTURES["convergence"])
 
 
 def adherence_fixture(name: str) -> AdherenceStructure:
-    if name not in _ADHERENCE_NAMES:
-        raise DocumentError(f"unknown adherence fixture {name!r}")
-    return _make_adherence(name)
+    return fixture("adherence", name)
 
 
 def adherence_fixture_names() -> tuple[str, ...]:
-    return _ADHERENCE_NAMES
-
-
-@lru_cache(maxsize=None)
-def _make_topology(name: str) -> TopologicalStructure:
-    if name == "SIERP_TOP":
-        lat = lattice_fixture("BOOL2")
-        return topological_structure(
-            lat, [lat.index(s) for s in ("{}", "{0}", "{0,1}")]
-        )
-    if name == "INDISCRETE_TOP":
-        lat = lattice_fixture("BOOL2")
-        return topological_structure(lat, [lat.bottom, lat.top])
-    if name == "DISCRETE_TOP":
-        lat = lattice_fixture("BOOL2")
-        return topological_structure(lat, range(lat.n))
-    if name == "PX3_TOP":
-        lat = lattice_fixture("PX3")
-        return topological_structure(
-            lat, [lat.index(s) for s in ("{}", "{3}", "{2,3}", "{1,2,3}")]
-        )
-    raise DocumentError(f"unknown topology fixture {name!r}")
-
-
-_TOPOLOGY_NAMES = ("SIERP_TOP", "INDISCRETE_TOP", "DISCRETE_TOP", "PX3_TOP")
+    return tuple(FIXTURES["adherence"])
 
 
 def topology_fixture(name: str) -> TopologicalStructure:
-    if name not in _TOPOLOGY_NAMES:
-        raise DocumentError(f"unknown topology fixture {name!r}")
-    return _make_topology(name)
+    return fixture("topology", name)
 
 
 def topology_fixture_names() -> tuple[str, ...]:
-    return _TOPOLOGY_NAMES
+    return tuple(FIXTURES["topology"])
 
 
-@lru_cache(maxsize=None)
-def _make_space(name: str):
-    from .duality import convergence_space, pt_space
-
-    if name == "SIERP_SPACE":
-        # point 1 is dense: its singleton filter also converges to 0
-        return convergence_space(("0", "1"), (0b11, 0b01, 0b11, 0b01))
-    if name == "ONE_POINT_SPACE":
-        return convergence_space(("*",), (1, 1))
-    if name == "EMPTY_SPACE":
-        return convergence_space((), (0,))
-    if name == "DISCRETE2_SPACE":
-        # the discrete topology: singleton filters converge to their point,
-        # the whole-carrier filter to nothing, the improper filter everywhere
-        return convergence_space(("0", "1"), (0b11, 0b01, 0b10, 0b00))
-    if name == "CHAOTIC2_SPACE":
-        return convergence_space(("0", "1"), (0b11,) * 4)
-    if name == "NONLIMIT2_SPACE":
-        # both singleton filters converge everywhere but their intersection
-        # converges nowhere: fails the pairwise limit law
-        return convergence_space(("0", "1"), (0b11, 0b11, 0b11, 0b00))
-    if name == "PX3_SPACE":
-        return pt_space(convergence_fixture("PX3_PRETOP"))
-    raise DocumentError(f"unknown space fixture {name!r}")
-
-
-_SPACE_NAMES = (
-    "SIERP_SPACE",
-    "ONE_POINT_SPACE",
-    "EMPTY_SPACE",
-    "DISCRETE2_SPACE",
-    "CHAOTIC2_SPACE",
-    "NONLIMIT2_SPACE",
-    "PX3_SPACE",
-)
-
-
-def space_fixture(name: str):
-    if name not in _SPACE_NAMES:
-        raise DocumentError(f"unknown space fixture {name!r}")
-    return _make_space(name)
+def space_fixture(name: str) -> FiniteConvergenceSpace:
+    return fixture("space", name)
 
 
 def space_fixture_names() -> tuple[str, ...]:
-    return _SPACE_NAMES
+    return tuple(FIXTURES["space"])
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,9 @@ class FiniteLattice:
     are element indices.
 
     Derived data (the :func:`analyze` report, the rank order, the position
-    of each label, the atoms, the least complemented element above each
-    element, the nonzero-meet rows, the dual, the lower covers and the
+    of each label, the atoms, the complemented atoms and their joins, the
+    least complemented element above each element, the nonzero-meet rows,
+    the dual, the lower covers, the members of each down-set and the
     splits) is built on first use and kept with the carrier, so it is freed
     together with it.
     """
@@ -261,6 +262,23 @@ class FiniteLattice:
             for a in bits(self.atoms)
         }
         return self.fold_atoms(self.meet, self.top, per_atom)
+
+    @derived
+    def comp_atoms(self) -> tuple[int, ...]:
+        """The minimal nonbottom complemented elements, in increasing index
+        order (the complemented part of a distributive lattice is a finite
+        Boolean algebra, so these generate it by joins)."""
+        comp = self.report.complemented
+        bottom = 1 << self.bottom
+        down = self.down
+        return tuple(a for a in bits(comp & ~bottom) if down[a] & comp == bottom | 1 << a)
+
+    @derived
+    def comp_joins(self) -> tuple[int, ...]:
+        """Entry ``s`` is the join of the complemented atoms ``comp_atoms[i]``
+        for the set bits ``i`` of ``s``, by :func:`_subset_folds`: on a
+        distributive carrier, each complemented element exactly once."""
+        return tuple(_subset_folds(self.comp_atoms, self.join, self.bottom))
 
     @derived
     def comp_above(self) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .adherence import AdherenceStructure, complemented_atoms
+from .adherence import AdherenceStructure
 from .convergence import ConvergenceStructure
 from .errors import (
     AxiomViolation,
@@ -113,7 +113,7 @@ def _atom_closures(lattice: FiniteLattice, closed: int) -> set[int]:
     """The distinct ``c(a)`` of the complemented atoms, checking on the way
     that ``closed`` is a sublattice as :class:`TopologicalStructure` states."""
     up, closures, joins = lattice.up, set(), 1 << lattice.bottom
-    for a in complemented_atoms(lattice):
+    for a in lattice.comp_atoms:
         c, rest = lattice.top, up[a] & closed
         while rest:  # one meet per member not above the running meet
             s = (rest & -rest).bit_length() - 1
@@ -233,8 +233,7 @@ def enumerate_topologies(
     the output.  More than ``budget`` preorders in a stage (stages only
     grow) raise :class:`BudgetExceeded`."""
     require_distributive(lattice, "topological structures")
-    atoms = complemented_atoms(lattice)
-    joins = _subset_folds(atoms, lattice.join, lattice.bottom)
+    atoms, joins = lattice.comp_atoms, lattice.comp_joins
     refusal = f"more than {budget} topologies on {lattice.name}"
     if budget < 1:
         raise BudgetExceeded(refusal)

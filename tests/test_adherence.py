@@ -25,6 +25,7 @@ from coframes import (
     lim_of_nu,
     random_adherence_structure,
 )
+from coframes.adherence import adherence_from_atom_values
 from coframes.fixtures import (
     adherence_fixture,
     chaotic_structure,
@@ -182,7 +183,33 @@ class TestValidation:
             adherence_structure(lat, (lat.top, lat.top))
 
 
+def atom_values_by_odometer(lat):
+    """Every tuple of atom values, the first atom varying fastest."""
+    values = [0] * len(complemented_atoms(lat))
+    while True:
+        yield tuple(values)
+        i = 0
+        while i < len(values) and values[i] == lat.n - 1:
+            values[i] = 0
+            i += 1
+        if i == len(values):
+            return
+        values[i] += 1
+
+
 class TestAtomParametrization:
+    def test_enumeration_order_is_the_odometer(self):
+        seen = 0
+        for lat in list(small_coframes(6)) + [lattice_fixture("BOOL3")]:
+            got = [ns.nutab for ns in enumerate_adherence_structures(lat)]
+            expected = [
+                adherence_from_atom_values(lat, values).nutab
+                for values in atom_values_by_odometer(lat)
+            ]
+            assert got == expected, lat
+            seen += len(got)
+        assert seen > 600
+
     def test_enumeration_matches_axiom_scan_oracle(self):
         for name in ("CHAIN2", "CHAIN3", "BOOL2", "V5"):
             lat = lattice_fixture(name)

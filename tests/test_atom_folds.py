@@ -5,6 +5,10 @@ per atom over the atoms below each element, and ``mesh`` on a filter reads
 its generator's row.  The reference functions below fold over the whole
 nonzero-meet row, taken from its definition (every element whose meet with
 the given one is not bottom), and ``mesh_by_members`` scans every member.
+
+The complemented atoms, the adherence built from atom values and the
+additivity check read ``comp_atoms`` and fold over ``comp_joins``; the
+``*_by_scan`` functions are the per-element scans they replaced.
 """
 
 from __future__ import annotations
@@ -20,11 +24,13 @@ from coframes import (
     enumerate_topologies,
     is_topological,
     lim_of_C,
+    adherence_violation,
     lim_of_nu,
     topological_modification,
 )
 from coframes.adherence import (
     AdherenceStructure,
+    adherence_from_atom_values,
     enumerate_adherence_structures,
     random_adherence_structure,
 )
@@ -83,6 +89,50 @@ def is_topological_by_rows(cs):
     return all(
         tab[g] == lat.meet_of(bits(rows[g] & closed)) for g in range(lat.n)
     )
+
+
+def comp_atoms_by_scan(lat):
+    comp = analyze(lat).complemented
+    bottom = 1 << lat.bottom
+    return tuple(a for a in bits(comp & ~bottom) if lat.down[a] & comp == bottom | 1 << a)
+
+
+def atom_values_by_scan(lat, values):
+    atoms = comp_atoms_by_scan(lat)
+    on_comp = {
+        c: lat.join_of(v for a, v in zip(atoms, values) if lat.leq(a, c))
+        for c in bits(analyze(lat).complemented)
+    }
+    return tuple(on_comp[c] for c in lat.comp_above)
+
+
+def additive_violation_by_scan(lat, nutab):
+    """The additivity check as a scan of the complemented elements,
+    smallest first, with the atoms below each one joined by ``join_of``."""
+    atoms = sum(1 << a for a in comp_atoms_by_scan(lat))
+    down = lat.down
+    for j in sorted(bits(analyze(lat).complemented), key=lambda c: down[c].bit_count()):
+        below = list(bits(down[j] & atoms))
+        if nutab[j] != lat.join_of(nutab[a] for a in below):
+            a, b = below[0], lat.join_of(below[1:])
+            return (
+                "adherence.additive",
+                f"adherence of {lat.label(a)!r} v {lat.label(b)!r} is "
+                f"{lat.label(nutab[j])!r}, expected "
+                f"{lat.label(lat.join(nutab[a], nutab[b]))!r}",
+            )
+    return None
+
+
+def random_monotone_table(rng, lat):
+    """Bottom to bottom, and along the rank order each value drawn from the
+    up-set of the join of the values at the lower covers."""
+    tab = [lat.bottom] * lat.n
+    for h in lat.rank_order():
+        if h != lat.bottom:
+            low = lat.join_of(tab[g] for g in lat.covers[h])
+            tab[h] = rng.choice(list(bits(lat.up[low])))
+    return tuple(tab)
 
 
 def mesh_by_members(rows, a, b):
@@ -173,3 +223,71 @@ class TestAtomFolds:
             upsets = [UpSet(lat, m) for m in enumerate_upset_masks(lat)]
             for a, b in itertools.product(all_filters(lat) + upsets, repeat=2):
                 assert mesh(a, b) == mesh_by_members(rows, a, b), (a, b)
+
+
+def distributive_carriers():
+    """``small_coframes(6)``, P(2) ... P(5) and the distributive fixtures."""
+    fixtures = [lattice_fixture(name) for name in lattice_fixture_names()]
+    return (
+        list(small_coframes(6))
+        + powersets()
+        + [lat for lat in fixtures if analyze(lat).distributive]
+    )
+
+
+class TestComplementedPartAgainstTheScans:
+    def test_comp_atoms_and_their_joins(self):
+        carriers = distributive_carriers() + [lattice_fixture(n) for n in ("M3", "N5")]
+        for lat in carriers:
+            atoms = comp_atoms_by_scan(lat)
+            assert lat.comp_atoms == atoms, lat
+            joins = tuple(
+                lat.join_of(atoms[i] for i in bits(s)) for s in range(1 << len(atoms))
+            )
+            assert lat.comp_joins == joins, lat
+            if analyze(lat).distributive:
+                assert sorted(joins) == list(bits(analyze(lat).complemented)), lat
+
+    def test_atom_values_fold_to_the_scanned_table(self):
+        rng = random.Random(31)
+        checked = 0
+        for lat in distributive_carriers():
+            k = len(lat.comp_atoms)
+            if lat.n**k <= 4096:
+                draws = itertools.product(range(lat.n), repeat=k)
+            else:
+                draws = ([rng.randrange(lat.n) for _ in range(k)] for _ in range(200))
+            for values in draws:
+                ns = adherence_from_atom_values(lat, values)
+                assert ns.nutab == atom_values_by_scan(lat, values), (lat, values)
+                checked += 1
+        assert checked > 2000
+
+    def test_additivity_check_reports_the_scanned_witness(self):
+        # pointwise meets of two adherences are monotone, grounded and
+        # infimum-determined, and often not additive; random monotone
+        # grounded tables fail additivity at many elements at once, so the
+        # smallest failing one must be the one reported
+        structures = adherence_corpus()
+        by_carrier = {}
+        for ns in structures:
+            by_carrier.setdefault(ns.lattice, []).append(ns.nutab)
+        for lat in powersets():  # whose complemented atoms join out of index order
+            by_carrier.setdefault(lat.dual, [])
+        rng = random.Random(37)
+        broken = 0
+        for lat, tables in by_carrier.items():
+            meets = (
+                tuple(lat.meet(x, y) for x, y in zip(a, b))
+                for a, b in itertools.product(tables[:12], tables[-12:])
+            )
+            monotone = (random_monotone_table(rng, lat) for _ in range(50))
+            for tab in itertools.chain(meets, monotone):
+                expected = additive_violation_by_scan(lat, tab)
+                got = adherence_violation(lat, tab)
+                if expected is None:
+                    assert got is None or got[0] == "adherence.infimum", (lat, tab)
+                else:
+                    assert got == expected, (lat, tab)
+                    broken += 1
+        assert broken > 100

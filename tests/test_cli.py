@@ -61,6 +61,49 @@ class TestFixturesCommand:
         assert code == 2
         assert "unknown fixture" in out
 
+    def test_listing_order_is_pinned(self, capsys):
+        code, out, _ = run(capsys, ["fixtures"])
+        assert code == 0
+        assert out.splitlines() == ["outcome: pass"] + [
+            f"{kind}: {' '.join(names)}" for kind, names in LISTING.items()
+        ]
+        code, out, _ = run(capsys, ["fixtures", "--json"])
+        report = json.loads(out)
+        assert {kind: report[kind] for kind in LISTING} == LISTING
+        for kind, names in LISTING.items():
+            code, out, _ = run(capsys, ["fixtures", "--kind", kind, "--json"])
+            report = json.loads(out)
+            others = set(LISTING) - {kind}
+            assert code == 0 and report[kind] == names and not others & set(report)
+
+    def test_kind_choices_are_the_listed_kinds(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fixtures", "--kind", "filter"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        positions = [err.index(kind) for kind in LISTING]
+        assert positions == sorted(positions)
+
+
+# `coframes fixtures`: the kinds in order, each with its names in order
+LISTING = {
+    "lattice": [
+        "CHAIN1", "CHAIN2", "CHAIN3", "CHAIN4", "CHAIN5", "BOOL1", "BOOL2",
+        "BOOL3", "PX3", "BOOL4", "M3", "N5", "V5",
+    ],
+    "convergence": [
+        "SIERP_LIM", "DISCRETE_BOOL2", "CHAOTIC_BOOL2", "PX3_PRETOP",
+        "CHAIN3_NONCLASSICAL", "CHAIN3_PRETOP_GAP",
+    ],
+    "adherence": ["SIERP_ADH", "PX3_ADH", "IDENTITY_ADH_BOOL2", "VOID_ADH_BOOL2"],
+    "topology": ["SIERP_TOP", "INDISCRETE_TOP", "DISCRETE_TOP", "PX3_TOP"],
+    "space": [
+        "SIERP_SPACE", "ONE_POINT_SPACE", "EMPTY_SPACE", "DISCRETE2_SPACE",
+        "CHAOTIC2_SPACE", "NONLIMIT2_SPACE", "PX3_SPACE",
+    ],
+}
+
 
 class TestValidateCommand:
     @pytest.mark.parametrize(
@@ -480,13 +523,16 @@ class TestJsonMode:
     def test_emitted_documents_revalidate_byte_identically(
         self, capsys, tmp_path, monkeypatch
     ):
-        # write -> read -> write must be byte-identical for every emitter
-        for name in ("SIERP_LIM", "PX3_TOP", "PX3_SPACE", "SIERP_ADH"):
-            _, out, _ = run(capsys, ["fixtures", "--name", name])
+        # write -> read -> write must be byte-identical for every fixture
+        _, out, _ = run(capsys, ["fixtures", "--json"])
+        listing = json.loads(out)
+        names = [name for kind in LISTING for name in listing[kind]]
+        assert len(names) == 34
+        for name in names:
+            code, out, _ = run(capsys, ["fixtures", "--name", name])
+            assert code == 0, name
             kind, obj = load_document(out)
-            from coframes.documents import structure_to_doc
-
-            assert canonical_json(structure_to_doc(obj)) == out
+            assert canonical_json(structure_to_doc(obj)) == out, name
 
 
 class TestRepeatedCalls:

@@ -9,6 +9,8 @@ from coframes import (
     AdherenceStructure,
     ConvergenceStructure,
     Filter,
+    FiniteConvergenceSpace,
+    FiniteLattice,
     TopologicalStructure,
     UpSet,
     dualize,
@@ -16,12 +18,18 @@ from coframes import (
     pt_top,
 )
 from coframes.fixtures import (
+    FIXTURES,
     adherence_fixture,
+    adherence_fixture_names,
     convergence_fixture,
+    convergence_fixture_names,
+    fixture,
     lattice_fixture,
     lattice_fixture_names,
     space_fixture,
+    space_fixture_names,
     topology_fixture,
+    topology_fixture_names,
 )
 from coframes.documents import (
     adherence_from_doc,
@@ -347,6 +355,46 @@ class TestDispatch:
             _, obj = load_document(first)
             second = canonical_json(structure_to_doc(obj))
             assert second == first
+
+
+ACCESSORS = {
+    "lattice": (lattice_fixture, lattice_fixture_names, FiniteLattice),
+    "convergence": (convergence_fixture, convergence_fixture_names, ConvergenceStructure),
+    "adherence": (adherence_fixture, adherence_fixture_names, AdherenceStructure),
+    "topology": (topology_fixture, topology_fixture_names, TopologicalStructure),
+    "space": (space_fixture, space_fixture_names, FiniteConvergenceSpace),
+}
+
+
+class TestFixtureTable:
+    def test_accessors_read_the_table(self):
+        assert list(FIXTURES) == list(ACCESSORS)
+        for kind, (get, names, cls) in ACCESSORS.items():
+            assert names() == tuple(FIXTURES[kind])
+            for name in names():
+                assert isinstance(get(name), cls), name
+                assert get(name) is get(name) is fixture(kind, name)
+
+    def test_names_are_unique_across_kinds(self):
+        names = [name for builders in FIXTURES.values() for name in builders]
+        assert len(names) == len(set(names)) == 34
+
+    def test_unknown_names_are_refused_after_every_fixture_is_built(self):
+        # the built fixtures are kept by name: a name of another kind must
+        # not be served from there
+        for kind, (get, names, _) in ACCESSORS.items():
+            for name in names():
+                get(name)
+        for kind, (get, _, _) in ACCESSORS.items():
+            for name in ("NOPE", *(n for k in FIXTURES if k != kind for n in FIXTURES[k])):
+                with pytest.raises(DocumentError) as err:
+                    get(name)
+                assert str(err.value) == f"unknown {kind} fixture {name!r}"
+        with pytest.raises(DocumentError, match="^unknown lattice fixture 'SIERP_LIM'$"):
+            lattice_fixture("SIERP_LIM")
+
+    def test_px3_is_bool3(self):
+        assert lattice_fixture("PX3") is lattice_fixture("BOOL3")
 
 
 class TestShorthandNormalization:

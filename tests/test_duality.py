@@ -63,9 +63,14 @@ from coframes.fixtures import (
     space_fixture,
     space_fixture_names,
     topology_fixture,
+    topology_fixture_names,
 )
 from coframes.filters import Filter
-from coframes.adherence import enumerate_adherence_structures, lim_of_nu
+from coframes.adherence import (
+    enumerate_adherence_structures,
+    lim_of_nu,
+    random_adherence_structure,
+)
 from coframes.convergence import ConvergenceStructure
 from coframes.fixtures import (
     convergence_fixture_names,
@@ -346,6 +351,68 @@ class TestPointSets:
                         assert bullet(cs, lat.meet(a, b)) == (
                             bullet(cs, a) & bullet(cs, b)
                         )
+
+
+def point_sets_by_loop(lat, pts):
+    """Per element, the points below it, one ``leq`` per point."""
+    return tuple(
+        sum(1 << i for i, p in enumerate(pts) if lat.leq(p, l)) for l in range(lat.n)
+    )
+
+
+def pt_adh_by_loop(ns):
+    lat = ns.lattice
+    pts = [p for p in bits(analyze(lat).join_primes) if lat.leq(p, ns.nutab[p])]
+    sets = point_sets_by_loop(lat, pts)
+    return tuple(
+        sets[ns.nutab[lat.join_of(pts[i] for i in bits(s))]] for s in range(1 << len(pts))
+    )
+
+
+def pt_top_by_loop(ts):
+    lat = ts.lattice
+    sets = point_sets_by_loop(lat, list(bits(analyze(lat).join_primes)))
+    return tuple(sorted({sets[c] for c in bits(ts.closed)}))
+
+
+class TestPointSetsAgainstTheLoops:
+    """Point sets transposed from the points' up-rows equal the per-point
+    ``leq`` loops they replaced in ``bullet``, ``epsilon``, ``pt_adh`` and
+    ``pt_top``."""
+
+    @staticmethod
+    def carriers():
+        return small_carriers() + [lattice_fixture("BOOL3"), powerset_lattice("abcd")]
+
+    def test_structures(self):
+        rng = random.Random(13)
+        corpus = structure_corpus() + [
+            random_convergence_structure(rng, lat) for lat in self.carriers() for _ in range(5)
+        ]
+        for cs in corpus:
+            lat = cs.lattice
+            expected = point_sets_by_loop(lat, cs.points)
+            assert cs.point_sets == expected, cs
+            assert tuple(bullet(cs, l) for l in range(lat.n)) == expected, cs
+            assert epsilon(cs).values == expected, cs
+
+    def test_point_spaces_of_adherence(self):
+        rng = random.Random(19)
+        corpus = [ns for lat in small_carriers() for ns in enumerate_adherence_structures(lat)]
+        corpus += [
+            random_adherence_structure(rng, lat) for lat in self.carriers() for _ in range(10)
+        ]
+        for ns in corpus:
+            assert pt_adh(ns).adhtab == pt_adh_by_loop(ns), ns
+
+    def test_point_spaces_of_topologies(self):
+        corpus = [ts for lat in self.carriers() for ts in enumerate_topologies(lat)]
+        corpus += [topology_fixture(name) for name in topology_fixture_names()]
+        corpus += [
+            sublocale_lattice(lattice_fixture(n)).canonical_topology() for n in ("CHAIN3", "V5")
+        ]
+        for ts in corpus:
+            assert pt_top(ts).closed == pt_top_by_loop(ts), ts
 
 
 class TestFilterPullback:
