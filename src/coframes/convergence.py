@@ -16,7 +16,7 @@ sets on first use and keeps them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import AxiomViolation, UnknownKind
@@ -187,14 +187,7 @@ class StructureClass:
     topological: bool
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "classical": self.classical,
-            "limit": self.limit,
-            "strict": self.strict,
-            "pretopological": self.pretopological,
-            "centered": self.centered,
-            "topological": self.topological,
-        }
+        return asdict(self)
 
 
 # Each class test reads the flags: the carrier and table, the structure

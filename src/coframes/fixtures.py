@@ -18,7 +18,7 @@ from .adherence import (
 )
 from .convergence import ConvergenceStructure
 from .duality import FiniteConvergenceSpace, convergence_space, pt_space
-from .errors import DocumentError
+from .errors import BudgetExceeded, DocumentError
 from .lattice import (
     FiniteLattice,
     FinitePoset,
@@ -256,7 +256,15 @@ def random_downset_lattice(
     entry for the poset's down-rows, which holds the down-set count and the
     carrier, built when a draw of that poset is first accepted.  So a
     repeated draw builds nothing, equal posets share one carrier, and the
-    pool changes neither the draws nor the carriers returned."""
+    pool changes neither the draws nor the carriers returned.  Bounds that
+    no draw meets raise :class:`BudgetExceeded` before the first draw."""
+    if max_poset < 2:
+        raise BudgetExceeded(f"max_poset is {max_poset}; posets are drawn on at least 2 points")
+    if max_elements < 3:
+        raise BudgetExceeded(
+            f"max_elements is {max_elements}; every poset on 2 or more points "
+            "has at least 3 down-sets"
+        )
     if carriers is None:
         carriers = {}
     while True:
@@ -285,7 +293,7 @@ def random_antitone_table(
     nothing from ``rng``.
     """
     table = [0] * lattice.n
-    covers, members = lattice.covers, lattice.down_members
+    covers, down = lattice.covers, lattice.down
     meet, top = lattice.meet, lattice.top
     for h in lattice.rank_order():
         bound = top
@@ -294,7 +302,12 @@ def random_antitone_table(
         if pretopological and len(covers[h]) != 1:
             table[h] = bound
         else:
-            table[h] = rng.choice(members[bound])
+            # the same draw as rng.choice of the members of down[bound] in
+            # increasing index order, without listing them
+            below = down[bound]
+            for _ in range(rng.randrange(below.bit_count())):
+                below &= below - 1
+            table[h] = (below & -below).bit_length() - 1
     return tuple(table)
 
 
@@ -324,10 +337,11 @@ def enumerate_antitone_tables(
     7.2.1.1, Algorithm M) whose radix at a position depends on the values
     before it: descend along the rank order, folding each meet, with a fixed
     position taking it and a branching one its first option; yield; then
-    advance the last branching position with an option left and descend
+    advance the last branching position with an option left, by clearing the
+    lowest bit (its current option) of its mask of options left, and descend
     again from the position after it.  A table costs at most one meet per
     cover pair, and no recursion."""
-    covers, members = lattice.covers, lattice.down_members
+    covers, down = lattice.covers, lattice.down
     meet, top = lattice.meet, lattice.top
     # per position along the rank order: the element, its lower covers, and
     # whether it branches
@@ -336,8 +350,7 @@ def enumerate_antitone_tables(
         for h in lattice.rank_order()
     ]
     size = len(steps)
-    options: list[tuple[int, ...]] = [()] * size
-    chosen = [0] * size  # index of the current option at a branching position
+    left = [0] * size  # options left at each position; 0 where it is fixed
     table = [0] * lattice.n
     pos = 0
     while True:
@@ -347,17 +360,16 @@ def enumerate_antitone_tables(
             for g in lows:
                 bound = meet(bound, table[g])
             if branches:
-                options[p] = opts = members[bound]
-                chosen[p] = 0
-                table[h] = opts[0]
+                left[p] = opts = down[bound]
+                table[h] = (opts & -opts).bit_length() - 1
             else:
                 table[h] = bound
         yield tuple(table)
         pos = size - 1
-        while pos >= 0 and (not steps[pos][2] or chosen[pos] + 1 == len(options[pos])):
+        while pos >= 0 and not left[pos] & left[pos] - 1:
             pos -= 1
         if pos < 0:
             return
-        chosen[pos] += 1
-        table[steps[pos][0]] = options[pos][chosen[pos]]
+        left[pos] = opts = left[pos] & left[pos] - 1
+        table[steps[pos][0]] = (opts & -opts).bit_length() - 1
         pos += 1

@@ -2,11 +2,11 @@
 
 The central object is :class:`FiniteLattice`: elements are indices ``0..n-1``
 with string labels, and the order is stored as bit rows — ``up[i]`` has bit
-``j`` set iff ``i <= j``.  Meets and joins are either table-driven or computed
-directly on element indices (powersets and sublocale lattices, whose index
-*is* the subset bitmask).  Every table carrier (from covers, down-sets or
-sublattices) is built by one O(n^2) builder that looks each table entry up by
-its row.
+``j`` set iff ``i <= j``.  Each carrier holds its meet and join, fixed when it
+is built: ``&`` and ``|`` on the indices of powersets and sublocale lattices,
+whose index *is* the subset bitmask, and table lookups on every table carrier
+(from covers, down-sets or sublattices), whose one O(n^2) builder looks each
+table entry up by its row.
 
 Lattice objects are immutable and compared by identity: two structurally equal
 lattices built separately are distinct carriers, and operations that require a
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from types import MethodType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -53,12 +54,6 @@ __all__ = [
     "identity_morphism",
     "compose",
 ]
-
-# meet/join strategy markers
-_TABLES = 0  # use precomputed tables
-_MASK = 1  # element index is a subset mask: meet = &, join = |
-_MASK_DUAL = 2  # dual of a mask lattice: meet = |, join = &
-
 
 class derived:
     """An attribute of an immutable object computed on first read and kept
@@ -115,14 +110,16 @@ class FiniteLattice:
 
     ``up[i]`` / ``down[i]`` are bitmasks over element indices giving the
     principal up-set / down-set of ``i`` (reflexive).  ``bottom`` and ``top``
-    are element indices.
+    are element indices.  ``meet`` and ``join`` are the binary operations on
+    element indices, fixed when the carrier is built: ``operator.and_`` and
+    ``operator.or_`` on a Boolean algebra indexed by subset mask (swapped on
+    its dual), lookups in a table on every other carrier.
 
     Derived data (the :func:`analyze` report, the rank order, the position
     of each label, the atoms, the complemented atoms and their joins, the
     least complemented element above each element, the nonzero-meet rows,
-    the dual, the lower covers, the members of each down-set and the
-    splits) is built on first use and kept with the carrier, so it is freed
-    together with it.
+    the dual, the lower covers and the splits) is built on first use and
+    kept with the carrier, so it is freed together with it.
     """
 
     name: str
@@ -131,9 +128,8 @@ class FiniteLattice:
     down: tuple[int, ...]
     bottom: int
     top: int
-    meet_table: tuple[tuple[int, ...], ...] | None = None
-    join_table: tuple[tuple[int, ...], ...] | None = None
-    op_mode: int = _TABLES
+    meet: Callable[[int, int], int]
+    join: Callable[[int, int], int]
 
     # -- basic views ------------------------------------------------------
 
@@ -159,38 +155,18 @@ class FiniteLattice:
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
-    def meet(self, i: int, j: int) -> int:
-        if self.op_mode == _MASK:
-            return i & j
-        if self.op_mode == _MASK_DUAL:
-            return i | j
-        return self.meet_table[i][j]  # type: ignore[index]
-
-    def join(self, i: int, j: int) -> int:
-        if self.op_mode == _MASK:
-            return i | j
-        if self.op_mode == _MASK_DUAL:
-            return i & j
-        return self.join_table[i][j]  # type: ignore[index]
-
     def meet_of(self, items: Iterable[int]) -> int:
         """Infimum of a finite family; the empty infimum is ``top``."""
-        acc = self.top
-        for x in items:
-            acc = self.meet(acc, x)
-        return acc
+        return reduce(self.meet, items, self.top)
 
     def meet_mask(self, mask: int) -> int:
         """Infimum of the members of ``mask`` by :func:`_fold`: one meet per
         member not above the running meet."""
-        return _fold(self.meet, self.up, self.top, mask, self.op_mode == _MASK_DUAL)
+        return _fold(self.meet, self.up, self.top, mask, self.bottom > self.top)
 
     def join_of(self, items: Iterable[int]) -> int:
         """Supremum of a finite family; the empty supremum is ``bottom``."""
-        acc = self.bottom
-        for x in items:
-            acc = self.join(acc, x)
-        return acc
+        return reduce(self.join, items, self.bottom)
 
     def rank_order(self) -> tuple[int, ...]:
         """Element indices in a linear extension (by down-set size), sorted
@@ -302,7 +278,6 @@ class FiniteLattice:
     @derived
     def dual(self) -> FiniteLattice:
         """The order-dual, whose own ``dual`` is this lattice."""
-        mode = {_MASK: _MASK_DUAL, _MASK_DUAL: _MASK}.get(self.op_mode, _TABLES)
         base = self.name
         dual = FiniteLattice(
             name=base[:-3] if base.endswith("^op") else base + "^op",
@@ -311,9 +286,8 @@ class FiniteLattice:
             down=self.up,
             bottom=self.top,
             top=self.bottom,
-            meet_table=self.join_table,
-            join_table=self.meet_table,
-            op_mode=mode,
+            meet=self.join,
+            join=self.meet,
         )
         object.__setattr__(dual, "dual", self)
         return dual
@@ -343,12 +317,6 @@ class FiniteLattice:
                 left &= ~down[s]
             out.append(tuple(bits(found)))
         return tuple(out)
-
-    @derived
-    def down_members(self) -> tuple[tuple[int, ...], ...]:
-        """``down_members[j]``: the elements below ``j`` (``j`` included), in
-        increasing index order."""
-        return tuple(tuple(bits(below)) for below in self.down)
 
     @derived
     def splits(self) -> tuple[tuple[int, int, int], ...]:
@@ -497,9 +465,15 @@ def _lattice_of_order(
         down=tuple(down),
         bottom=of_up[full],
         top=of_down[full],
-        meet_table=table(down, of_down, "meet"),
-        join_table=table(up, of_up, "join"),
+        meet=MethodType(_entry, table(down, of_down, "meet")),
+        join=MethodType(_entry, table(up, of_up, "join")),
     )
+
+
+def _entry(table: Sequence[Sequence[int]], i: int, j: int) -> int:
+    """Entry ``(i, j)`` of an operation table; a table carrier's ``meet``
+    and ``join`` are this function bound to its tables."""
+    return table[i][j]
 
 
 def subset_label(ground: Sequence[str], mask: int) -> str:
@@ -558,14 +532,14 @@ _POWERSET_BUDGET = 12
 
 
 def _mask_lattice(name: str, elements: Sequence[str]) -> FiniteLattice:
-    """The Boolean algebra on ``2^k`` elements in mask mode: an index is a
-    subset mask of ``k`` generators, meet is ``&`` and join is ``|``."""
+    """The Boolean algebra on ``2^k`` elements indexed by subset mask of
+    ``k`` generators: meet is ``&`` and join is ``|``."""
     n = len(elements)
     # the subsets of a | bit are those of a, each with and without bit
     down = _subset_folds([1 << d for d in range(n.bit_length() - 1)], lambda r, b: r | r << b, 1)
     up = tuple(down[n - 1 ^ i] << i for i in range(n))  # i | s = i + s for s outside i
     return FiniteLattice(
-        name, tuple(elements), up, tuple(down), bottom=0, top=n - 1, op_mode=_MASK
+        name, tuple(elements), up, tuple(down), 0, n - 1, operator.and_, operator.or_
     )
 
 
@@ -739,8 +713,10 @@ def _fold(
     Members already absorbed by the running result are skipped, so a join
     that picks maximal members first takes one step per maximal member.
     Mask, down-set and sublattice carriers index their elements along a
-    linear extension (dual mask carriers against one), hence ``from_high``;
-    any pick order gives the same result.
+    linear extension (their duals against one), so callers read
+    ``from_high`` off the carrier's ``bottom`` and ``top``: a join picks from
+    high indices when ``bottom < top``, a meet when ``bottom > top``.  Any
+    pick order gives the same result.
     """
     while mask:
         s = mask.bit_length() - 1 if from_high else (mask & -mask).bit_length() - 1
@@ -767,7 +743,7 @@ def analyze(lattice: FiniteLattice) -> LatticeReport:
 def _analysis(lattice: FiniteLattice) -> LatticeReport:
     n, full = lattice.n, lattice.full_mask
     up, down, bottom, top = lattice.up, lattice.down, lattice.bottom, lattice.top
-    high = lattice.op_mode != _MASK_DUAL
+    high = bottom < top
 
     def sup(mask: int) -> int:
         return _fold(lattice.join, down, bottom, mask, high)
@@ -775,12 +751,11 @@ def _analysis(lattice: FiniteLattice) -> LatticeReport:
     # complemented elements and a canonical complement (least index)
     complemented = 0
     complement = [-1] * n
-    if lattice.op_mode == _MASK:
+    # a Boolean algebra indexed by subset mask, either way up
+    boolean = lattice.meet in (operator.and_, operator.or_)
+    if boolean:
         complemented = full
-        complement = [top ^ i for i in range(n)]
-    elif lattice.op_mode == _MASK_DUAL:
-        complemented = full
-        complement = [bottom ^ i for i in range(n)]
+        complement = [n - 1 ^ i for i in range(n)]
     else:
         for x in range(n):
             for y in range(n):
@@ -796,7 +771,7 @@ def _analysis(lattice: FiniteLattice) -> LatticeReport:
     # Join-primes are join-irreducible; the lattice is distributive iff the
     # converse holds, i.e. every other element is the join of those below
     # it.  Mask carriers are powersets, distributive by construction.
-    distributive = lattice.op_mode != _TABLES or all(
+    distributive = boolean or all(
         sup(down[x] ^ 1 << x) == x for x in bits(full & ~join_primes)
     )
     spatial = all(sup(join_primes & down[x]) == x for x in range(n))
@@ -828,10 +803,8 @@ def pseudocomplement(lattice: FiniteLattice, x: int) -> int:
     :class:`NotDistributive` when the candidate join fails the defining
     property (as happens e.g. in the diamond M3).
     """
-    if lattice.op_mode == _MASK:
-        return lattice.top ^ x
-    if lattice.op_mode == _MASK_DUAL:
-        return lattice.bottom ^ x
+    if lattice.meet in (operator.and_, operator.or_):
+        return lattice.n - 1 ^ x
     candidates = [
         m for m in range(lattice.n) if lattice.meet(x, m) == lattice.bottom
     ]

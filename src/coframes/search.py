@@ -30,12 +30,18 @@ witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import groupby, permutations, product
 from typing import Any, Iterator, Mapping
 
-from .convergence import CLASS_COST_ORDER, ClassFlags, ConvergenceStructure, classify
+from .convergence import (
+    CLASS_COST_ORDER,
+    ClassFlags,
+    ConvergenceStructure,
+    StructureClass,
+    classify,
+)
 from .documents import convergence_to_doc
 from .errors import BudgetExceeded, ConjectureError
 from .fixtures import (
@@ -56,14 +62,7 @@ __all__ = [
     "search_counterexample",
 ]
 
-PREDICATES = (
-    "classical",
-    "limit",
-    "strict",
-    "pretopological",
-    "centered",
-    "topological",
-)
+PREDICATES = tuple(f.name for f in fields(StructureClass))
 
 _EXHAUSTIVE_STRUCTURE_CAP = 500_000
 

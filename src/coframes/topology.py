@@ -280,9 +280,9 @@ def _require_primes(name: str, count: int) -> None:
 class SublocaleLattice:
     """The sublocales of a finite frame, ordered by inclusion.
 
-    ``lattice`` is the Boolean algebra, in mask mode, of the sets ``S`` of the
-    frame's primes (bit ``i`` for the ``i``-th), and ``masks[S]`` is the member
-    set of sublocale ``S``.  ``closed_index[u]`` / ``open_index[u]`` are the
+    ``lattice`` is the Boolean algebra, indexed by mask, of the sets ``S`` of
+    the frame's primes (bit ``i`` for the ``i``-th), and ``masks[S]`` is the
+    member set of sublocale ``S``.  ``closed_index[u]`` / ``open_index[u]`` are the
     closed and open sublocales of the frame element ``u``, and
     ``closed_embedding`` is the (injective) coframe morphism from the frame's
     opposite sending ``u`` to its closed sublocale.

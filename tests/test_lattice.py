@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coframes import (
+    BudgetExceeded,
     ConvergenceStructure,
     CyclicCovers,
     EngineError,
@@ -570,8 +571,9 @@ def first_pick_climbs(lat):
 
 
 class TestCoversAgainstTheScan:
-    """The maximal-pick ``covers`` equals the down-set scan on carriers in
-    every op mode, indexed along, against and across a linear extension."""
+    """The maximal-pick ``covers`` equals the down-set scan on mask carriers,
+    their duals and table carriers, indexed along, against and across a
+    linear extension."""
 
     def test_small_coframes_and_their_duals(self):
         carriers = list(small_coframes(14))
@@ -618,6 +620,69 @@ class TestCoversAgainstTheScan:
             assert lat.down == tuple(
                 sum(1 << j for j in range(lat.n) if i & j == j) for i in range(lat.n)
             )
+
+
+def frame_sublocale_lattices():
+    """The sublocale lattices of the distributive fixtures with at most
+    seven primes."""
+    return [
+        sublocale_lattice(lat).lattice
+        for lat in dict.fromkeys(map(lattice_fixture, lattice_fixture_names()))
+        if analyze(lat).distributive and analyze(lat).meet_primes.bit_count() <= 7
+    ]
+
+
+class TestOperationsAgreeWithTheRows:
+    """Each carrier's ``meet`` and ``join``, fixed when it is built, against
+    its order rows: ``↓(x ∧ y) = ↓x ∩ ↓y`` and ``↑(x ∨ y) = ↑x ∩ ↑y``."""
+
+    @staticmethod
+    def carriers():
+        powersets = [powerset_lattice(tuple("abcdef"[:k])) for k in range(7)]
+        fixtures = list(dict.fromkeys(map(lattice_fixture, lattice_fixture_names())))
+        coframes = list(small_coframes(10))
+        rng = random.Random(20261020)
+        shuffled = [
+            s for lat in coframes[::7] + fixtures for s in shuffled_carriers(lat, rng, 2)
+        ]
+        sides = [
+            side
+            for lat in powersets + fixtures + coframes + frame_sublocale_lattices()
+            for side in (lat, lat.dual)
+        ]
+        return sides + shuffled
+
+    def test_operations_match_the_rows(self):
+        carriers = self.carriers()
+        assert len(carriers) == 332
+        assert {"M3", "N5", "P(a,b,c,d,e,f)^op"} <= {lat.name for lat in carriers}
+        for lat in carriers:
+            up, down, every = lat.up, lat.down, range(lat.n)
+            for i in every:
+                for j in every:
+                    assert down[lat.meet(i, j)] == down[i] & down[j], (lat, i, j)
+                    assert up[lat.join(i, j)] == up[i] & up[j], (lat, i, j)
+
+    def test_meet_mask_is_the_meet_of_the_members(self):
+        small = [lat for lat in self.carriers() if lat.n <= 8]
+        assert len(small) == 152
+        for lat in small:
+            for s in range(1 << lat.n):
+                assert lat.meet_mask(s) == lat.meet_of(bits(s)), (lat, s)
+
+    def test_boolean_pseudocomplement_and_complement_are_their_definitions(self):
+        for k in range(6):
+            lat = powerset_lattice(tuple("abcde"[:k]))
+            for side in (lat, lat.dual):
+                complement = analyze(side).complement
+                for x in range(side.n):
+                    disjoint = sum(
+                        1 << m for m in range(side.n) if side.meet(x, m) == side.bottom
+                    )
+                    largest = [m for m in bits(disjoint) if side.down[m] & disjoint == disjoint]
+                    assert largest == [pseudocomplement(side, x)], (side, x)
+                    assert side.join(x, complement[x]) == side.top, (side, x)
+                    assert disjoint >> complement[x] & 1, (side, x)
 
 
 class TestDerivedDataLifetime:
@@ -890,6 +955,23 @@ class TestRandomLattices:
         # a repeated poset is one carrier (the labels name the down-sets)
         distinct = {lat.elements for lat in pooled}
         assert len({id(lat) for lat in pooled}) == len(distinct) < len(pooled)
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((2, 4), "max_elements is 2; every poset on 2 or more points has at least 3"),
+            ((8, 1), "max_poset is 1; posets are drawn on at least 2 points"),
+        ],
+    )
+    def test_random_carriers_refuse_bounds_no_draw_meets(self, bounds, message):
+        # no poset on 2 or more points has fewer than 3 down-sets, so these
+        # bounds would draw for ever (or fail inside ``randint``)
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(BudgetExceeded, match=message):
+            random_downset_lattice(rng, *bounds)
+        assert rng.getstate() == state
+        assert random_downset_lattice(rng, 3, 2).n == 3
 
     def test_random_poset_generator_is_seeded(self):
         a = random_poset(random.Random(7), 4)

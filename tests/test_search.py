@@ -20,6 +20,7 @@ from coframes.convergence import (
 from coframes.documents import convergence_from_doc
 from coframes.errors import BudgetExceeded, ConjectureError
 from coframes.fixtures import (
+    convergence_fixture,
     convergence_fixture_names,
     enumerate_antitone_tables,
     lattice_fixture,
@@ -75,6 +76,15 @@ class TestGrammar:
     def test_malformed_conjectures_rejected(self, bad):
         with pytest.raises(ConjectureError):
             parse_conjecture(bad)
+
+    def test_the_six_class_names_are_pinned(self):
+        names = ("classical", "limit", "strict", "pretopological", "centered", "topological")
+        assert PREDICATES == names
+        flags = classify(convergence_fixture("SIERP_LIM")).flags()
+        assert tuple(flags) == names
+        with pytest.raises(ConjectureError) as err:
+            parse_conjecture("bogus => centered")
+        assert str(err.value) == f"unknown predicate 'bogus'; choose from {', '.join(names)}"
 
     def test_refuted_by(self):
         c = Conjecture(("strict",), ("centered",))
