@@ -10,6 +10,7 @@ indentation, trailing newline.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Any, Callable, Iterable, Mapping
 
 from .adherence import AdherenceStructure, adherence_structure
@@ -28,6 +29,7 @@ from .lattice import (
     build_lattice,
     cover_pairs,
     dualize,
+    mask_boolean,
     powerset_lattice,
     subset_label,
     subset_mask,
@@ -100,6 +102,15 @@ def _string_list(value: Any, what: str) -> list[str]:
 
 
 def lattice_to_doc(lattice: FiniteLattice) -> dict[str, Any]:
+    """A carrier built by :func:`powerset_lattice`, or its dual, in the
+    ``{"powerset": ground}`` shorthand (the ground read off its atoms) that
+    reloads to that very object; every other carrier as its name, elements
+    and cover pairs."""
+    if mask_boolean(lattice):
+        base = lattice if lattice.meet is operator.and_ else lattice.dual
+        ground = [base.label(1 << i)[1:-1] for i in range(base.n.bit_length() - 1)]
+        if base.name == "P(" + ",".join(ground) + ")" and base is powerset_lattice(ground):
+            return {"powerset": ground} if base is lattice else {"powerset": ground, "as": "frame"}
     return {
         "name": lattice.name,
         "elements": list(lattice.elements),
@@ -357,8 +368,11 @@ def topological_space_from_doc(doc: Any) -> FiniteTopologicalSpace:
             'topological-space document needs exactly "points" and "closed"'
         )
     pts = _check_point_labels(_string_list(doc["points"], '"points"'))
+    _check_point_count(pts)
     labels = _string_list(doc["closed"], '"closed"')
-    masks = [subset_mask(pts, c) for c in labels]
+    # canonical labels of comma-free points parse one way: look them up
+    known = {} if any("," in p for p in pts) else powerset_lattice(pts).positions
+    masks = [known[c] if c in known else subset_mask(pts, c) for c in labels]
     if len(set(masks)) != len(masks):
         raise DocumentError('"closed" lists a subset twice')
     return FiniteTopologicalSpace(pts, tuple(sorted(masks)))

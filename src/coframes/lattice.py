@@ -402,9 +402,14 @@ def build_lattice(
 ) -> FiniteLattice:
     """Build a lattice from labels and a cover relation ``lo -< hi``.
 
-    Raises :class:`CyclicCovers` for cyclic input and :class:`NotALattice`
-    when some pair lacks a meet or a join (or bounds are missing).
+    Raises :class:`CyclicCovers` for cyclic input, :class:`NotALattice`
+    when some pair lacks a meet or a join (or bounds are missing), and
+    :class:`BudgetExceeded`, before any row, above ``_COVERS_BUDGET`` elements.
     """
+    if len(elements) > _COVERS_BUDGET:
+        raise BudgetExceeded(
+            f"{name}: {len(elements)} elements exceed the covers budget of {_COVERS_BUDGET}"
+        )
     _check_labels(elements)
     up = _closure_from_covers(len(elements), _resolve_pairs(elements, covers))
     return _lattice_of_order(name, elements, up, _transpose(up))
@@ -529,6 +534,7 @@ def subset_mask(ground: Sequence[str], label: str) -> int:
 
 
 _POWERSET_BUDGET = 12
+_COVERS_BUDGET = 1024
 
 
 def _mask_lattice(name: str, elements: Sequence[str]) -> FiniteLattice:
@@ -672,7 +678,8 @@ def sublattice(
 
 @dataclass(frozen=True)
 class LatticeReport:
-    """Derived structure of a lattice.
+    """Derived structure of a lattice, in closed form on a Boolean algebra
+    indexed by subset mask (see ``_analysis``).
 
     All element sets are bitmasks over element indices.  Every field is
     exact on every finite lattice, distributive or not, and follows from
@@ -733,14 +740,43 @@ def analyze(lattice: FiniteLattice) -> LatticeReport:
     One join ``m(x)`` and one meet per element give the primes and the
     way-way-below rows; one join of the strict down-set per element gives
     the join-irreducibles.  Every answer is exact, no path is exponential
-    or sampled, and the whole analysis is O(n^2) lattice operations.  The
-    report is built once per carrier and kept with it
+    or sampled, and the whole analysis is O(n^2) lattice operations, or
+    O(n) steps in closed form on a Boolean algebra indexed by subset mask.
+    The report is built once per carrier and kept with it
     (``FiniteLattice.report``).
     """
     return lattice.report
 
 
+def mask_boolean(lattice: FiniteLattice) -> bool:
+    """Whether ``lattice`` is a Boolean algebra indexed by subset mask (a
+    powerset or a sublocale lattice, or the dual of one)."""
+    return lattice.meet in (operator.and_, operator.or_)
+
+
 def _analysis(lattice: FiniteLattice) -> LatticeReport:
+    """The :func:`analyze` report; in closed form on a Boolean algebra indexed
+    by subset mask: the singletons are the join-primes, their complements the
+    meet-primes, ``i`` complements to ``n-1 ^ i``, and ``i`` is way-way-below
+    ``j`` iff ``i`` is a singleton inside ``j``, or bottom and ``j`` is not.
+    On the dual each moves along ``x -> n-1 ^ x``, an order isomorphism."""
+    if not mask_boolean(lattice):
+        return _scan_analysis(lattice)
+    n, flip = lattice.n, lattice.bottom
+    singletons = [flip ^ 1 << b for b in range(n.bit_length() - 1)]
+    wwb = _subset_folds([1 << flip | 1 << s for s in singletons], operator.or_, 0)
+    return LatticeReport(
+        distributive=True, spatial=True, prime_continuous=True,
+        complemented=lattice.full_mask,
+        complement=tuple(n - 1 ^ i for i in range(n)),
+        join_primes=sum(1 << s for s in singletons),
+        meet_primes=sum(1 << (n - 1 ^ s) for s in singletons),
+        wwb_below=tuple(wwb[flip ^ j] for j in range(n)),
+    )
+
+
+def _scan_analysis(lattice: FiniteLattice) -> LatticeReport:
+    """The report on any finite lattice, by O(n^2) lattice operations."""
     n, full = lattice.n, lattice.full_mask
     up, down, bottom, top = lattice.up, lattice.down, lattice.bottom, lattice.top
     high = bottom < top
@@ -749,31 +785,21 @@ def _analysis(lattice: FiniteLattice) -> LatticeReport:
         return _fold(lattice.join, down, bottom, mask, high)
 
     # complemented elements and a canonical complement (least index)
-    complemented = 0
-    complement = [-1] * n
-    # a Boolean algebra indexed by subset mask, either way up
-    boolean = lattice.meet in (operator.and_, operator.or_)
-    if boolean:
-        complemented = full
-        complement = [n - 1 ^ i for i in range(n)]
-    else:
-        for x in range(n):
-            for y in range(n):
-                if lattice.meet(x, y) == bottom and lattice.join(x, y) == top:
-                    complemented |= 1 << x
-                    complement[x] = y
-                    break
+    complemented, complement = 0, [-1] * n
+    for x in range(n):
+        for y in range(n):
+            if lattice.meet(x, y) == bottom and lattice.join(x, y) == top:
+                complemented |= 1 << x
+                complement[x] = y
+                break
     m = [sup(full & ~up[x]) for x in range(n)]
     join_primes = sum(1 << x for x in range(n) if not up[x] >> m[x] & 1)
     meet_primes = sum(
         1 << x for x in range(n) if not down[x] >> lattice.meet_mask(full & ~down[x]) & 1
     )
     # Join-primes are join-irreducible; the lattice is distributive iff the
-    # converse holds, i.e. every other element is the join of those below
-    # it.  Mask carriers are powersets, distributive by construction.
-    distributive = boolean or all(
-        sup(down[x] ^ 1 << x) == x for x in bits(full & ~join_primes)
-    )
+    # converse holds: every other element is the join of those below it.
+    distributive = all(sup(down[x] ^ 1 << x) == x for x in bits(full & ~join_primes))
     spatial = all(sup(join_primes & down[x]) == x for x in range(n))
     # i is way-way-below j iff j is not below m(i); group the i by m(i).
     by_m: dict[int, int] = {}
@@ -803,7 +829,7 @@ def pseudocomplement(lattice: FiniteLattice, x: int) -> int:
     :class:`NotDistributive` when the candidate join fails the defining
     property (as happens e.g. in the diamond M3).
     """
-    if lattice.meet in (operator.and_, operator.or_):
+    if mask_boolean(lattice):
         return lattice.n - 1 ^ x
     candidates = [
         m for m in range(lattice.n) if lattice.meet(x, m) == lattice.bottom

@@ -196,6 +196,25 @@ class TestValidateCommand:
         assert f"{k} points" in message
         assert len(message.encode()) < 1024
 
+    def test_oversized_covers_document_is_refused_before_any_row(self, capsys, monkeypatch):
+        from coframes import lattice
+
+        def refuse(n, pairs):
+            raise AssertionError(f"rows built for {n} elements")
+
+        monkeypatch.setattr(lattice, "_closure_from_covers", refuse)
+        chain = [f"c{i}" for i in range(1025)]
+        covers = [list(pair) for pair in zip(chain, chain[1:])]
+        doc = {"name": "CHAIN1025", "elements": chain, "covers": covers}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run(capsys, ["validate", "-", "--json"])
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert "1025 elements exceed the covers budget of 1024" in message
+        # one element fewer goes on to build its rows
+        with pytest.raises(AssertionError, match="rows built for 1024 elements"):
+            build_lattice("CHAIN1024", chain[:-1], covers[:-1])
+
     def test_missing_space_entries_are_counted_not_listed(self, capsys, monkeypatch):
         points = [f"p{i}" for i in range(12)]
         doc = {"points": points, "lim": {"{}": "{" + ",".join(points) + "}"}}

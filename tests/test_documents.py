@@ -60,7 +60,8 @@ from coframes.documents import (
 )
 from coframes.duality import pt_space, to_adherence
 from coframes.errors import DocumentError
-from coframes.topology import sublocale_counit
+from coframes.lattice import build_lattice, cover_pairs, downset_lattice, poset_from_covers
+from coframes.topology import sublocale_counit, sublocale_lattice
 
 
 class TestCanonicalJson:
@@ -267,6 +268,31 @@ class TestSpaceDocuments:
         assert again.points == tsp.points
         assert again.closed == tsp.closed
 
+    def test_canonical_space_labels_are_looked_up_not_parsed(self, monkeypatch):
+        from coframes import documents
+
+        def refuse(points, label):
+            raise AssertionError(f"parsed {label!r}")
+
+        points = tuple("dbca")
+        doc = {"points": list(points), "closed": [subset_label(points, m) for m in range(16)]}
+        monkeypatch.setattr(documents, "subset_mask", refuse)
+        assert topological_space_from_doc(doc).closed == tuple(range(16))
+        # a label in any other spelling still goes to the one parser
+        doc["closed"][3] = "{d, b}"
+        with pytest.raises(AssertionError, match=r"parsed '\{d, b\}'"):
+            topological_space_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "points,label", [(("a", "b", "a,b"), "{a,b}"), (("b", "a", "b,a"), "{b,a}")]
+    )
+    def test_ambiguous_space_labels_are_still_refused(self, points, label):
+        # "{b,a}" is the canonical label of {"b,a"} alone, yet also parses
+        # as {"b", "a"}: comma labels are never looked up
+        assert label in {subset_label(points, m) for m in range(8)}
+        with pytest.raises(DocumentError, match="ambiguous"):
+            topological_space_from_doc({"points": list(points), "closed": ["{}", label]})
+
     def test_space_table_must_cover_every_subset(self):
         doc = space_to_doc(space_fixture("SIERP_SPACE"))
         del doc["lim"]["{0}"]
@@ -397,14 +423,50 @@ class TestFixtureTable:
         assert lattice_fixture("PX3") is lattice_fixture("BOOL3")
 
 
+def _powersets_and_duals():
+    for k in range(7):
+        lat = powerset_lattice(tuple(f"g{i}" for i in range(k)))
+        yield lat, {"powerset": [f"g{i}" for i in range(k)]}
+        yield dualize(lat), {"powerset": [f"g{i}" for i in range(k)], "as": "frame"}
+
+
 class TestShorthandNormalization:
-    def test_powerset_shorthand_canonicalizes_to_explicit_form(self):
+    def test_powersets_and_their_duals_echo_the_shorthand(self):
         kind, obj = load_document('{"powerset": ["1", "2"]}')
         assert kind == "lattice"
-        doc = structure_to_doc(obj)
-        assert set(doc) == {"name", "elements", "covers"}
-        again = structure_from_doc(doc)
-        assert again.elements == obj.elements
+        assert structure_to_doc(obj) == {"powerset": ["1", "2"]}
+        for lat, doc in _powersets_and_duals():
+            assert lattice_to_doc(lat) == doc, lat
+            assert lattice_from_doc(json.loads(canonical_json(doc))) is lat
+        for name in ("BOOL1", "BOOL2", "BOOL3", "BOOL4", "PX3"):
+            lat = lattice_fixture(name)
+            for side in (lat, dualize(lat)):
+                assert "powerset" in lattice_to_doc(side), name
+                assert lattice_from_doc(lattice_to_doc(side)) is side
+
+    def test_covers_form_is_the_oracle_of_the_shorthand(self):
+        # the shorthand names the carrier whose cover pairs it would list
+        for lat, _ in _powersets_and_duals():
+            rebuilt = build_lattice(lat.name, lat.elements, cover_pairs(lat))
+            assert (rebuilt.up, rebuilt.down) == (lat.up, lat.down), lat
+
+    def test_other_carriers_keep_the_covers_form(self):
+        bool3 = lattice_fixture("BOOL3")
+        covers_p3 = lattice_from_doc(
+            {
+                "name": bool3.name,
+                "elements": list(bool3.elements),
+                "covers": [list(pair) for pair in cover_pairs(bool3)],
+            }
+        )
+        subloc = sublocale_lattice(dualize(bool3)).lattice
+        downsets = downset_lattice(poset_from_covers(("a", "b", "c"), [("a", "c")]))
+        for lat in (covers_p3, subloc, dualize(subloc), downsets):
+            doc = lattice_to_doc(lat)
+            assert set(doc) == {"name", "elements", "covers"}, lat
+            again = lattice_from_doc(doc)
+            assert (again.elements, again.up) == (lat.elements, lat.up)
+            assert canonical_json(lattice_to_doc(again)) == canonical_json(doc)
 
     def test_pt_space_of_convergence_serializes(self):
         space = pt_space(convergence_fixture("PX3_PRETOP"))

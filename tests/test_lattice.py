@@ -39,7 +39,15 @@ from coframes import (
     sublattice,
     sublocale_lattice,
 )
-from coframes.lattice import LatticeMorphism, _table_violation, _trusted, bits
+from coframes.lattice import (
+    LatticeMorphism,
+    _analysis,
+    _scan_analysis,
+    _table_violation,
+    _trusted,
+    bits,
+    mask_boolean,
+)
 from coframes.fixtures import (
     lattice_fixture,
     lattice_fixture_names,
@@ -683,6 +691,39 @@ class TestOperationsAgreeWithTheRows:
                     assert largest == [pseudocomplement(side, x)], (side, x)
                     assert side.join(x, complement[x]) == side.top, (side, x)
                     assert disjoint >> complement[x] & 1, (side, x)
+
+
+class TestBooleanClosedForm:
+    """The closed-form report of a Boolean algebra indexed by subset mask
+    against the scan that every table carrier gets."""
+
+    @staticmethod
+    def carriers():
+        powersets = [powerset_lattice(tuple("abcdefgh"[:k])) for k in range(9)]
+        return [side for lat in powersets + frame_sublocale_lattices() for side in (lat, lat.dual)]
+
+    def test_closed_form_equals_the_scan(self):
+        carriers = self.carriers()
+        assert len(carriers) == 38
+        for lat in carriers:
+            assert mask_boolean(lat), lat
+            assert _analysis(lat) == _scan_analysis(lat), lat
+
+    def test_closed_form_folds_nothing(self, monkeypatch):
+        import coframes.lattice
+
+        def refuse(*args):
+            raise AssertionError("folded")
+
+        p3 = powerset_lattice(tuple("uvw"))
+        subloc = sublocale_lattice(dualize(lattice_fixture("BOOL3"))).lattice
+        table = lattice_fixture("CHAIN3")
+        monkeypatch.setattr(coframes.lattice, "_fold", refuse)
+        for lat in (p3, p3.dual, subloc):
+            assert _analysis(lat).complemented == lat.full_mask, lat
+        assert not mask_boolean(table)
+        with pytest.raises(AssertionError, match="folded"):
+            _analysis(table)
 
 
 class TestDerivedDataLifetime:
