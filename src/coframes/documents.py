@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import operator
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .adherence import AdherenceStructure, adherence_structure
 from .convergence import ConvergenceStructure
@@ -297,13 +297,32 @@ def upset_from_doc(doc: Any, lattice: FiniteLattice) -> UpSet:
 # spaces
 
 
+def _subset_labels(pts: tuple[str, ...], masks: Sequence[int]) -> list[str]:
+    """The labels of the subsets ``masks`` of ``pts``, each checked to read
+    back to its own subset, after the point labels pass the reader's
+    checks; raises :class:`DocumentError` before anything is written.  Only
+    comma point labels need the parse: without them a label splits into its
+    points one way, as the reader's lookup assumes."""
+    _check_point_labels(pts)
+    labels = [subset_label(pts, a) for a in masks]
+    if any("," in p for p in pts):
+        for a, label in zip(masks, labels):
+            try:
+                readable = subset_mask(pts, label) == a
+            except DocumentError:
+                readable = False
+            if not readable:
+                raise DocumentError(
+                    f"point labels {list(pts)} make the subset label {label!r} unreadable"
+                )
+    return labels
+
+
 def _subset_table_doc(
     pts: tuple[str, ...], table: tuple[int, ...]
 ) -> dict[str, str]:
-    out = {subset_label(pts, a): subset_label(pts, table[a]) for a in range(len(table))}
-    if len(out) != len(table):
-        raise DocumentError("point labels make subset labels collide")
-    return out
+    labels = _subset_labels(pts, range(len(table)))
+    return {labels[a]: labels[v] for a, v in enumerate(table)}
 
 
 def space_to_doc(space: FiniteConvergenceSpace) -> dict[str, Any]:
@@ -355,9 +374,9 @@ def adherence_space_from_doc(doc: Any) -> FiniteAdherenceSpace:
 
 
 def topological_space_to_doc(tsp: FiniteTopologicalSpace) -> dict[str, Any]:
-    labels = sorted(subset_label(tsp.points, c) for c in tsp.closed)
+    labels = sorted(_subset_labels(tsp.points, tsp.closed))
     if len(set(labels)) != len(labels):
-        raise DocumentError("point labels make subset labels collide")
+        raise DocumentError("the closed family lists a subset twice")
     return {"points": list(tsp.points), "closed": labels}
 
 

@@ -353,8 +353,10 @@ def _check_labels(elements: Sequence[str]) -> None:
         raise NotALattice("element labels must be non-empty")
 
 
-def _closure_from_covers(n: int, pairs: list[tuple[int, int]]) -> list[int]:
-    """Reflexive-transitive up-rows from cover pairs; raises CyclicCovers."""
+def _closure_from_covers(n: int, pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Reflexive-transitive up- and down-rows from cover pairs, both folded
+    along one Kahn order (up-rows against it, down-rows with it), so no row
+    is transposed; raises CyclicCovers."""
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     for lo, hi in pairs:
@@ -373,10 +375,14 @@ def _closure_from_covers(n: int, pairs: list[tuple[int, int]]) -> list[int]:
     if len(topo) != n:
         raise CyclicCovers("cover relation contains a cycle")
     up = [1 << i for i in range(n)]
+    down = up[:]
     for i in reversed(topo):
         for j in succ[i]:
             up[i] |= up[j]
-    return up
+    for i in topo:
+        for j in succ[i]:
+            down[j] |= down[i]
+    return up, down
 
 
 def _resolve_pairs(
@@ -411,8 +417,8 @@ def build_lattice(
             f"{name}: {len(elements)} elements exceed the covers budget of {_COVERS_BUDGET}"
         )
     _check_labels(elements)
-    up = _closure_from_covers(len(elements), _resolve_pairs(elements, covers))
-    return _lattice_of_order(name, elements, up, _transpose(up))
+    up, down = _closure_from_covers(len(elements), _resolve_pairs(elements, covers))
+    return _lattice_of_order(name, elements, up, down)
 
 
 def _transpose(rows: Sequence[int]) -> list[int]:
@@ -552,6 +558,8 @@ def _mask_lattice(name: str, elements: Sequence[str]) -> FiniteLattice:
 @lru_cache(maxsize=None)
 def _powerset_lattice_cached(ground: tuple[str, ...]) -> FiniteLattice:
     labels = [subset_label(ground, m) for m in range(1 << len(ground))]
+    if len(set(labels)) != len(labels):
+        raise NotALattice(f"ground labels {list(ground)} give two subsets one label")
     return _mask_lattice("P(" + ",".join(ground) + ")", labels)
 
 
@@ -560,6 +568,9 @@ def powerset_lattice(ground: Sequence[str]) -> FiniteLattice:
 
     Results are cached per ground tuple, so repeated calls return the *same*
     carrier object — important because structures compare carriers by identity.
+    Raises :class:`NotALattice` for a ground whose subset labels are not
+    distinct (``a``, ``b`` and ``a,b`` all give ``{a,b}``): every element of
+    a carrier is named by its label.
     """
     if len(set(ground)) != len(ground) or any(not g for g in ground):
         raise NotALattice("ground labels must be unique and non-empty")
@@ -615,8 +626,8 @@ def poset_from_covers(
     labels: Sequence[str], covers: Iterable[tuple[int | str, int | str]]
 ) -> FinitePoset:
     _check_labels(labels)
-    up = _closure_from_covers(len(labels), _resolve_pairs(labels, covers))
-    return FinitePoset(labels=tuple(labels), below=tuple(_transpose(up)))
+    _, down = _closure_from_covers(len(labels), _resolve_pairs(labels, covers))
+    return FinitePoset(labels=tuple(labels), below=tuple(down))
 
 
 def downset_lattice(poset: FinitePoset, name: str | None = None) -> FiniteLattice:
@@ -678,12 +689,13 @@ def sublattice(
 
 @dataclass(frozen=True)
 class LatticeReport:
-    """Derived structure of a lattice, in closed form on a Boolean algebra
-    indexed by subset mask (see ``_analysis``).
+    """Derived structure of a lattice, written down from the
+    join-irreducibles on every distributive carrier and scanned on the
+    others (see ``_analysis``).
 
     All element sets are bitmasks over element indices.  Every field is
-    exact on every finite lattice, distributive or not, and follows from
-    ``m(x) = sup{s : x is not below s}``:
+    exact on every finite lattice, distributive or not, and is defined
+    through ``m(x) = sup{s : x is not below s}``:
 
     - ``join_primes``: ``x`` with ``x <= a v b`` only if ``x <= a`` or
       ``x <= b`` (bottom excluded), i.e. ``x`` not below ``m(x)``;
@@ -737,13 +749,17 @@ def analyze(lattice: FiniteLattice) -> LatticeReport:
     spatiality, prime-continuity, way-way-below rows (see
     :class:`LatticeReport`).
 
-    One join ``m(x)`` and one meet per element give the primes and the
-    way-way-below rows; one join of the strict down-set per element gives
-    the join-irreducibles.  Every answer is exact, no path is exponential
-    or sampled, and the whole analysis is O(n^2) lattice operations, or
-    O(n) steps in closed form on a Boolean algebra indexed by subset mask.
-    The report is built once per carrier and kept with it
-    (``FiniteLattice.report``).
+    A Boolean algebra indexed by subset mask gets its report in closed form
+    in O(n) steps.  Every other carrier is read off its lower covers: one
+    join ``m(j)`` per join-irreducible ``j`` decides distributivity (on a
+    distributive carrier ``{s : j is not below s}`` is the down-set of
+    ``m(j)``, so a carrier indexed along a linear extension folds it in one
+    join), and the rest of the report follows from the join-irreducibles
+    by one pass over the covers in rank order and one dict lookup per
+    element, with no lattice operation.  Only a carrier that is not
+    distributive pays the O(n^2) scan.  Every answer is exact and no path
+    is exponential or sampled.  The report is built once per carrier and
+    kept with it (``FiniteLattice.report``).
     """
     return lattice.report
 
@@ -755,28 +771,72 @@ def mask_boolean(lattice: FiniteLattice) -> bool:
 
 
 def _analysis(lattice: FiniteLattice) -> LatticeReport:
-    """The :func:`analyze` report; in closed form on a Boolean algebra indexed
-    by subset mask: the singletons are the join-primes, their complements the
-    meet-primes, ``i`` complements to ``n-1 ^ i``, and ``i`` is way-way-below
-    ``j`` iff ``i`` is a singleton inside ``j``, or bottom and ``j`` is not.
-    On the dual each moves along ``x -> n-1 ^ x``, an order isomorphism."""
-    if not mask_boolean(lattice):
+    """The :func:`analyze` report, in closed form on every distributive carrier.
+
+    On a Boolean algebra indexed by subset mask it needs no covers: the
+    singletons are the join-primes, their complements the meet-primes, ``i``
+    complements to ``n-1 ^ i``, and ``i`` is way-way-below ``j`` iff ``i`` is
+    a singleton inside ``j``, or bottom and ``j`` is not.  On the dual each
+    moves along ``x -> n-1 ^ x``, an order isomorphism.
+
+    Every other carrier is read off its join-irreducibles ``J``, the elements
+    with exactly one lower cover, and one join ``m(j) = sup{s : j is not
+    below s}`` per ``j`` in ``J``.  It is distributive iff no ``j`` lies
+    below its ``m(j)``, i.e. every join-irreducible is join-prime (Birkhoff);
+    only a carrier that is not pays :func:`_scan_analysis`.  On a
+    distributive carrier ``x -> c(x) = down[x] & J`` is a lattice
+    isomorphism onto the down-sets of ``J`` (Davey & Priestley,
+    *Introduction to Lattices and Order*, ch. 5), so:
+
+    - the join-primes are ``J`` and the meet-primes are the ``m(j)``;
+    - ``x`` is complemented iff ``J & ~c(x)`` is the coordinate of some
+      element, which is then its one complement;
+    - ``x`` is not below ``m(i)`` iff some ``q`` in ``c(x)`` lies above
+      ``i`` (every ``s`` above such a ``q`` is above ``i``), so
+      ``wwb_below[x]`` is the union of ``down[q]`` over ``q`` in ``c(x)``:
+      ``down[x]`` for ``x`` in ``J``, else the union of the rows of its
+      lower covers, folded in rank order;
+    - every element is the join of ``c(x)`` and of its ``wwb_below`` row,
+      so the carrier is spatial and prime-continuous.
+    """
+    n, bottom, down = lattice.n, lattice.bottom, lattice.down
+    if mask_boolean(lattice):
+        singletons = [bottom ^ 1 << b for b in range(n.bit_length() - 1)]
+        wwb = _subset_folds([1 << bottom | 1 << s for s in singletons], operator.or_, 0)
+        return LatticeReport(
+            distributive=True, spatial=True, prime_continuous=True,
+            complemented=lattice.full_mask,
+            complement=tuple(n - 1 ^ i for i in range(n)),
+            join_primes=sum(1 << s for s in singletons),
+            meet_primes=sum(1 << (n - 1 ^ s) for s in singletons),
+            wwb_below=tuple(wwb[bottom ^ j] for j in range(n)),
+        )
+    covers, up, high = lattice.covers, lattice.up, bottom < lattice.top
+    irreducible = [j for j, lows in enumerate(covers) if len(lows) == 1]
+    m = [_fold(lattice.join, down, bottom, lattice.full_mask & ~up[j], high) for j in irreducible]
+    if any(up[j] >> v & 1 for j, v in zip(irreducible, m)):
         return _scan_analysis(lattice)
-    n, flip = lattice.n, lattice.bottom
-    singletons = [flip ^ 1 << b for b in range(n.bit_length() - 1)]
-    wwb = _subset_folds([1 << flip | 1 << s for s in singletons], operator.or_, 0)
+    J = sum(1 << j for j in irreducible)
+    of_coordinate = {row & J: x for x, row in enumerate(down)}
+    complement = tuple(of_coordinate.get(J & ~row, -1) for row in down)
+    wwb = [0] * n
+    for x in lattice.ranked:
+        lows = covers[x]
+        wwb[x] = down[x] if len(lows) == 1 else reduce(operator.or_, [wwb[c] for c in lows], 0)
     return LatticeReport(
         distributive=True, spatial=True, prime_continuous=True,
-        complemented=lattice.full_mask,
-        complement=tuple(n - 1 ^ i for i in range(n)),
-        join_primes=sum(1 << s for s in singletons),
-        meet_primes=sum(1 << (n - 1 ^ s) for s in singletons),
-        wwb_below=tuple(wwb[flip ^ j] for j in range(n)),
+        complemented=sum(1 << x for x, c in enumerate(complement) if c >= 0),
+        complement=complement,
+        join_primes=J,
+        meet_primes=sum(1 << v for v in m),
+        wwb_below=tuple(wwb),
     )
 
 
 def _scan_analysis(lattice: FiniteLattice) -> LatticeReport:
-    """The report on any finite lattice, by O(n^2) lattice operations."""
+    """The report on any finite lattice, by O(n^2) lattice operations: the
+    path of carriers that are not distributive, and the oracle of the
+    closed forms in the test suite."""
     n, full = lattice.n, lattice.full_mask
     up, down, bottom, top = lattice.up, lattice.down, lattice.bottom, lattice.top
     high = bottom < top

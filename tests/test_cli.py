@@ -167,6 +167,14 @@ class TestValidateCommand:
         assert code == 2
         assert "missing" in out
 
+    def test_powerset_with_colliding_labels_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "collide.json"
+        path.write_text('{"powerset": ["a", "b", "a,b"]}', encoding="utf-8")
+        for command in ("validate", "classify"):
+            code, out, _ = run(capsys, [command, str(path)])
+            assert code == 2
+            assert "give two subsets one label" in out
+
     def test_missing_file_is_a_config_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["validate", str(tmp_path / "absent.json")])
         assert code == 2

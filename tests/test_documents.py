@@ -4,6 +4,8 @@ form, subset-label handling, and error reporting."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coframes import (
     AdherenceStructure,
@@ -23,6 +25,7 @@ from coframes.fixtures import (
     adherence_fixture_names,
     convergence_fixture,
     convergence_fixture_names,
+    discrete_structure,
     fixture,
     lattice_fixture,
     lattice_fixture_names,
@@ -58,8 +61,13 @@ from coframes.documents import (
     upset_from_doc,
     upset_to_doc,
 )
-from coframes.duality import pt_space, to_adherence
-from coframes.errors import DocumentError
+from coframes.duality import (
+    FiniteTopologicalSpace,
+    pt_space,
+    to_adherence,
+    top_space_convergence,
+)
+from coframes.errors import DocumentError, NotALattice
 from coframes.lattice import build_lattice, cover_pairs, downset_lattice, poset_from_covers
 from coframes.topology import sublocale_counit, sublocale_lattice
 
@@ -170,8 +178,6 @@ class TestLatticeDocuments:
             )
 
     def test_non_lattice_poset_rejected(self):
-        from coframes.errors import NotALattice
-
         with pytest.raises((DocumentError, NotALattice)):
             lattice_from_doc(
                 {
@@ -306,6 +312,32 @@ class TestSpaceDocuments:
         assert again.points == renamed.points
         assert again.limtab == renamed.limtab
 
+    def test_unreadable_space_labels_refused_on_write(self):
+        # {"b,a"} is written "{b,a}", which also parses as {"b", "a"}: each
+        # writer refuses the label instead of emitting what its reader refuses
+        tsp = FiniteTopologicalSpace(("b", "a", "b,a"), (0, 0b100, 0b111))
+        with pytest.raises(DocumentError, match=r"subset label '\{b,a\}' unreadable"):
+            topological_space_to_doc(tsp)
+        space = top_space_convergence(tsp)
+        for write in (space_to_doc, lambda sp: adherence_space_to_doc(to_adherence(sp))):
+            with pytest.raises(DocumentError, match=r"'\{b,a\}' unreadable"):
+                write(space)
+        # the same closed family on points whose labels read back round-trips
+        readable = FiniteTopologicalSpace(("b", "a", "a,b,c"), tsp.closed)
+        again = topological_space_from_doc(topological_space_to_doc(readable))
+        assert (again.points, again.closed) == (readable.points, readable.closed)
+
+    def test_points_the_reader_refuses_are_refused_on_write(self):
+        tsp = FiniteTopologicalSpace((" a", "b"), (0, 0b01, 0b11))
+        with pytest.raises(DocumentError, match="flanking spaces"):
+            topological_space_to_doc(tsp)
+        with pytest.raises(DocumentError, match="flanking spaces"):
+            space_to_doc(top_space_convergence(tsp))
+
+    def test_points_with_colliding_subset_labels_have_no_powerset(self):
+        with pytest.raises(NotALattice, match="one label"):
+            FiniteTopologicalSpace(("a", "b", "a,b"), (0, 0b100, 0b111))
+
     def test_colliding_point_labels_refused_on_write(self):
         space = space_fixture("SIERP_SPACE")
         # With points {a, b, "a,b"} the label "{a,b}" cannot distinguish the
@@ -314,6 +346,64 @@ class TestSpaceDocuments:
         ambiguous = type(space)(points=("a", "b", "a,b"), limtab=(0b111,) * 8)
         with pytest.raises(DocumentError):
             space_to_doc(ambiguous)
+
+
+# labels from an alphabet of separators, braces, spaces and prefixes of one
+# another, so that subset labels can collide or parse two ways
+LABEL = st.text(alphabet="ab,{} ", min_size=1, max_size=3)
+LABELS = st.one_of(
+    st.lists(LABEL, max_size=3, unique=True).map(tuple),
+    # two labels and their comma-joined pair, whose subset labels collide
+    st.lists(LABEL, min_size=2, max_size=2, unique=True).map(lambda p: (*p, ",".join(p))),
+)
+
+
+def written_and_read(obj, write, read):
+    """``read`` of the canonical bytes of ``write(obj)``, or None when the
+    writer refuses."""
+    try:
+        doc = write(obj)
+    except DocumentError:
+        return None
+    return read(json.loads(canonical_json(doc)))
+
+
+class TestLabelsRoundTrip:
+    """No writer emits what its reader refuses: on any labels, each kind
+    either reloads from its own document to an equal object or is refused
+    with ``NotALattice`` at build time or ``DocumentError`` at write time."""
+
+    @given(LABELS)
+    @settings(max_examples=150, deadline=None)
+    def test_spaces_reload_or_are_refused(self, points):
+        try:
+            tsp = FiniteTopologicalSpace(points, tuple(range(1 << len(points))))
+        except NotALattice:
+            assert len({subset_label(points, m) for m in range(1 << len(points))}) < 1 << len(points)
+            return
+        space = top_space_convergence(tsp)
+        adh = to_adherence(space)
+        for obj, write, read, fields in (
+            (tsp, topological_space_to_doc, topological_space_from_doc, ("points", "closed")),
+            (space, space_to_doc, space_from_doc, ("points", "limtab")),
+            (adh, adherence_space_to_doc, adherence_space_from_doc, ("points", "adhtab")),
+        ):
+            again = written_and_read(obj, write, read)
+            if again is not None:
+                assert [getattr(again, f) for f in fields] == [getattr(obj, f) for f in fields]
+
+    @given(LABELS)
+    @settings(max_examples=150, deadline=None)
+    def test_powerset_structures_reload_or_are_refused(self, ground):
+        try:
+            lat = powerset_lattice(ground)
+        except NotALattice:
+            assert len({subset_label(ground, m) for m in range(1 << len(ground))}) < 1 << len(ground)
+            return
+        for side in (lat, lat.dual):
+            cs = discrete_structure(side)
+            again = written_and_read(cs, convergence_to_doc, convergence_from_doc)
+            assert again.lattice is side and again.limtab == cs.limtab
 
 
 class TestDispatch:

@@ -40,6 +40,7 @@ from coframes import (
     sublocale_lattice,
 )
 from coframes.lattice import (
+    FiniteLattice,
     LatticeMorphism,
     _analysis,
     _scan_analysis,
@@ -328,6 +329,12 @@ class TestConstruction:
             build_lattice("CYC", ("a", "b", "c"), [("a", "b"), ("b", "c"), ("c", "a")])
         with pytest.raises(CyclicCovers):
             build_lattice("LOOP", ("a", "b"), [("a", "a"), ("a", "b")])
+
+    def test_colliding_powerset_labels_rejected(self):
+        # the pair {a, b} and the singleton {"a,b"} would share the label {a,b}
+        with pytest.raises(NotALattice, match="one label"):
+            powerset_lattice(("a", "b", "a,b"))
+        assert len(set(powerset_lattice(("b", "a", "b,a")).elements)) == 8
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(NotALattice):
@@ -724,6 +731,89 @@ class TestBooleanClosedForm:
         assert not mask_boolean(table)
         with pytest.raises(AssertionError, match="folded"):
             _analysis(table)
+
+
+def table_report_corpus():
+    """Every table carrier whose report the join-irreducibles give: every
+    carrier of ``small_coframes(14)``, every lattice fixture, the sublattices
+    ``↓x``, ``↑x`` and the complemented part of the fixtures and of the
+    carriers of ``small_coframes(7)``, the covers-form rebuild of each of
+    these (as ``lattice_to_doc`` writes it, and with its element list
+    reversed, so the indices run against a linear extension), and the dual
+    of each."""
+    fixtures = list(dict.fromkeys(map(lattice_fixture, lattice_fixture_names())))
+    subs = []
+    for lat in fixtures + list(small_coframes(7)):
+        rows = set(lat.down) | set(lat.up)
+        if (scanned := _scan_analysis(lat)).distributive:
+            rows.add(scanned.complemented)
+        subs += [sublattice(lat, bits(row))[0] for row in rows]
+    carriers = list(small_coframes(14)) + fixtures + subs
+    rebuilds = [
+        build_lattice(lat.name + "~", elements, cover_pairs(lat))
+        for lat in carriers
+        for elements in (lat.elements, lat.elements[::-1])
+    ]
+    return [
+        side for lat in carriers + rebuilds for side in (lat, lat.dual) if not mask_boolean(side)
+    ]
+
+
+class TestJoinIrreducibleClosedForm:
+    """The report of every table carrier read off its join-irreducibles,
+    against the scan that only carriers that are not distributive keep."""
+
+    corpus = table_report_corpus()
+
+    def test_closed_form_equals_the_scan(self):
+        assert len(self.corpus) > 8000
+        for lat in self.corpus:
+            assert _analysis(lat) == _scan_analysis(lat), lat
+
+    def test_only_carriers_that_are_not_distributive_reach_the_scan(self, monkeypatch):
+        import coframes.lattice
+
+        reached = []
+
+        def refuse(lat):
+            reached.append(lat)
+            raise AssertionError("scanned")
+
+        expected = [lat for lat in self.corpus if not _scan_analysis(lat).distributive]
+        monkeypatch.setattr(coframes.lattice, "_scan_analysis", refuse)
+        for lat in self.corpus:
+            try:
+                _analysis(lat)
+            except AssertionError:
+                pass
+        assert reached == expected
+        names = {lat.name for lat in reached}
+        assert {"M3", "N5", "M3^op", "N5^op", "M3~", "N5~"} <= names
+        assert not any(lat.name.startswith(("D", "CHAIN", "BOOL", "V5")) for lat in reached)
+
+    def test_chain_report_takes_linear_lattice_operations(self):
+        labels = [f"c{i}" for i in range(1000)]
+        chain = build_lattice("CHAIN1000", labels, list(zip(labels, labels[1:])))
+        calls = []
+
+        def counted(op):
+            def call(i, j):
+                calls.append(op)
+                return op(i, j)
+
+            return call
+
+        probe = FiniteLattice(
+            chain.name, chain.elements, chain.up, chain.down, chain.bottom, chain.top,
+            counted(chain.meet), counted(chain.join),
+        )
+        for side in (probe, probe.dual):
+            calls.clear()
+            report = analyze(side)
+            assert len(calls) <= 2 * side.n, (side, len(calls))
+            assert report.distributive and report.prime_continuous
+            assert report.join_primes == side.full_mask ^ 1 << side.bottom
+            assert report.complemented == 1 << side.bottom | 1 << side.top
 
 
 class TestDerivedDataLifetime:
