@@ -18,20 +18,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .adherence import AdherenceStructure, closed_sets, lim_of_nu
-from .convergence import ConvergenceStructure, classify, points, s_infinity
-from .documents import (
-    adherence_space_to_doc,
-    canonical_json,
-    convergence_to_doc,
-    space_to_doc,
-    structure_to_doc,
-    topological_space_to_doc,
-)
+from .adherence import closed_sets, lim_of_nu
+from .convergence import classify, points
+from .documents import canonical_json, structure_to_doc
 from .duality import (
-    FiniteAdherenceSpace,
-    FiniteConvergenceSpace,
-    FiniteTopologicalSpace,
+    MODIFICATIONS,
     classify_space,
     eta,
     is_isomorphism,
@@ -42,12 +33,12 @@ from .duality import (
     top_space_convergence,
 )
 from .errors import EngineError
-from .filters import Filter, UpSet, is_proper
+from .filters import is_proper
 from .fixtures import FIXTURES, fixture
 from .lattice import FiniteLattice, analyze, bits
 from .laws import run_all, run_suite, suite_names
 from .search import parse_conjecture, search_counterexample
-from .topology import TopologicalStructure, is_strong, lim_of_C, topological_modification
+from .topology import is_strong, lim_of_C
 
 __all__ = ["main"]
 
@@ -101,139 +92,113 @@ def _true_flags(flags: dict[str, bool]) -> str:
 # subcommands
 
 
+def _labels(lattice: FiniteLattice, mask: int) -> list[str]:
+    return sorted(lattice.label(i) for i in bits(mask))
+
+
+def _lattice_payload(lat: FiniteLattice) -> dict[str, Any]:
+    info = analyze(lat)
+    return {
+        "elements": lat.n,
+        "distributive": info.distributive,
+        "spatial": info.spatial,
+        "prime_continuous": info.prime_continuous,
+        "complemented": _labels(lat, info.complemented),
+        "join_primes": _labels(lat, info.join_primes),
+        "meet_primes": _labels(lat, info.meet_primes),
+    }
+
+
+def _closed_payload(obj) -> dict[str, Any]:
+    lat, report = obj.lattice, closed_sets(obj)
+    return {
+        "quasi_closed": [lat.label(c) for c in report.quasi_closed],
+        "closed": [lat.label(c) for c in report.closed],
+    }
+
+
+# each kind of point space -> the convergence space it is classified as
+_CONVERGENCE_SPACE = {
+    "space": lambda space: space,
+    "adherence-space": to_pretop,
+    "topological-space": top_space_convergence,
+}
+
+# each lattice-side kind -> the kind of its space of points, and the pt
+# functor, called through its name so that a rebinding of the name (as
+# bench/tracing.py does) reaches it
+_PT = {
+    "convergence": ("space", lambda cs: pt_space(cs)),
+    "adherence": ("adherence-space", lambda ns: pt_adh(ns)),
+    "topology": ("topological-space", lambda ts: pt_top(ts)),
+}
+
+# every other kind -> the classify payload of an object of that kind
+_PAYLOADS = {
+    "lattice": _lattice_payload,
+    "convergence": lambda cs: {
+        "flags": classify(cs).flags(),
+        "points": [cs.lattice.label(p) for p in points(cs)],
+        **_closed_payload(cs),
+    },
+    "adherence": lambda ns: {"flags": classify(lim_of_nu(ns)).flags(), **_closed_payload(ns)},
+    "topology": lambda ts: {
+        "flags": classify(lim_of_C(ts)).flags(),
+        "closed": _labels(ts.lattice, ts.closed),
+        "strong": is_strong(ts),
+    },
+    "filter": lambda f: {"generator": f.lattice.label(f.generator), "proper": is_proper(f)},
+    "upset": lambda u: {"members": _labels(u.lattice, u.members)},
+}
+
+
 def _cmd_validate(args, report: RunReport) -> None:
     kind, obj = _load(args.path)
     report.payload["kind"] = kind
     report.payload["document"] = structure_to_doc(obj)
-    if isinstance(obj, FiniteLattice):
-        info = analyze(obj)
-        report.payload["elements"] = obj.n
-        report.payload["distributive"] = info.distributive
-        report.payload["complemented"] = sorted(
-            obj.label(i) for i in bits(info.complemented)
-        )
-
-
-def _classify_payload(obj) -> dict[str, Any]:
-    if isinstance(obj, ConvergenceStructure):
-        lat = obj.lattice
-        flags = classify(obj)
-        report = closed_sets(obj)
-        return {
-            "kind": "convergence",
-            "flags": flags.flags(),
-            "points": [lat.label(p) for p in points(obj)],
-            "quasi_closed": [lat.label(c) for c in report.quasi_closed],
-            "closed": [lat.label(c) for c in report.closed],
-        }
-    if isinstance(obj, AdherenceStructure):
-        lat = obj.lattice
-        report = closed_sets(obj)
-        return {
-            "kind": "adherence",
-            "flags": classify(lim_of_nu(obj)).flags(),
-            "quasi_closed": [lat.label(c) for c in report.quasi_closed],
-            "closed": [lat.label(c) for c in report.closed],
-        }
-    if isinstance(obj, TopologicalStructure):
-        lat = obj.lattice
-        return {
-            "kind": "topology",
-            "flags": classify(lim_of_C(obj)).flags(),
-            "closed": sorted(lat.label(c) for c in bits(obj.closed)),
-            "strong": is_strong(obj),
-        }
-    if isinstance(obj, FiniteLattice):
-        info = analyze(obj)
-        return {
-            "kind": "lattice",
-            "elements": obj.n,
-            "distributive": info.distributive,
-            "spatial": info.spatial,
-            "prime_continuous": info.prime_continuous,
-            "complemented": sorted(obj.label(i) for i in bits(info.complemented)),
-            "join_primes": sorted(obj.label(i) for i in bits(info.join_primes)),
-            "meet_primes": sorted(obj.label(i) for i in bits(info.meet_primes)),
-        }
-    if isinstance(obj, FiniteConvergenceSpace):
-        return {
-            "kind": "space",
-            "flags": classify_space(obj).flags(),
-            "points": list(obj.points),
-        }
-    if isinstance(obj, FiniteAdherenceSpace):
-        return {
-            "kind": "adherence-space",
-            "flags": classify_space(to_pretop(obj)).flags(),
-            "points": list(obj.points),
-        }
-    if isinstance(obj, FiniteTopologicalSpace):
-        return {
-            "kind": "topological-space",
-            "flags": classify_space(top_space_convergence(obj)).flags(),
-            "points": list(obj.points),
-        }
-    if isinstance(obj, Filter):
-        return {
-            "kind": "filter",
-            "generator": obj.lattice.label(obj.generator),
-            "proper": is_proper(obj),
-        }
-    if isinstance(obj, UpSet):
-        return {
-            "kind": "upset",
-            "members": sorted(obj.lattice.label(i) for i in bits(obj.members)),
-        }
-    raise EngineError(f"cannot classify {type(obj).__name__}")
+    if kind == "lattice":
+        payload = _lattice_payload(obj)
+        for key in ("elements", "distributive", "complemented"):
+            report.payload[key] = payload[key]
 
 
 def _cmd_classify(args, report: RunReport) -> None:
-    _, obj = _load(args.path)
-    report.payload.update(_classify_payload(obj))
-
-
-_MODIFY_KINDS = {"lim": "limit", "strict": "strict", "pretop": "pretop"}
+    kind, obj = _load(args.path)
+    report.payload["kind"] = kind
+    if kind in _CONVERGENCE_SPACE:
+        report.payload["flags"] = classify_space(_CONVERGENCE_SPACE[kind](obj)).flags()
+        report.payload["points"] = list(obj.points)
+    else:
+        report.payload.update(_PAYLOADS[kind](obj))
 
 
 def _cmd_modify(args, report: RunReport) -> None:
     kind, obj = _load(args.path)
-    if not isinstance(obj, ConvergenceStructure):
+    if kind != "convergence":
         raise EngineError(f"modify needs a convergence document, got {kind}")
-    if args.kind == "top":
-        result = topological_modification(obj)
-    else:
-        result = s_infinity(obj, _MODIFY_KINDS[args.kind])
-    report.payload["kind"] = "convergence"
+    result = MODIFICATIONS[args.kind](obj)
+    report.payload["kind"] = kind
     report.payload["modification"] = args.kind
     report.payload["changed"] = result.limtab != obj.limtab
-    report.payload["document"] = convergence_to_doc(result)
+    report.payload["document"] = structure_to_doc(result)
 
 
 def _cmd_pt(args, report: RunReport) -> None:
     kind, obj = _load(args.path)
-    if isinstance(obj, ConvergenceStructure):
-        space = pt_space(obj)
-        report.payload["kind"] = "space"
-        report.payload["document"] = space_to_doc(space)
-    elif isinstance(obj, AdherenceStructure):
-        adh_space = pt_adh(obj)
-        space = to_pretop(adh_space)
-        report.payload["kind"] = "adherence-space"
-        report.payload["document"] = adherence_space_to_doc(adh_space)
-    elif isinstance(obj, TopologicalStructure):
-        tsp = pt_top(obj)
-        space = top_space_convergence(tsp)
-        report.payload["kind"] = "topological-space"
-        report.payload["document"] = topological_space_to_doc(tsp)
-    else:
+    if kind not in _PT:
         raise EngineError(f"pt needs a lattice-side structure document, got {kind}")
+    point_kind, pt = _PT[kind]
+    point_space = pt(obj)
+    space = _CONVERGENCE_SPACE[point_kind](point_space)
+    report.payload["kind"] = point_kind
+    report.payload["document"] = structure_to_doc(point_space)
     report.payload["points"] = list(space.points)
     if args.roundtrip:
         iso = is_isomorphism(eta(space))
         report.payload["eta"] = "isomorphism" if iso else "not an isomorphism"
         if not iso:
             report.outcome = "violation"
-            report.witness = {"space": space_to_doc(space)}
+            report.witness = {"space": structure_to_doc(space)}
 
 
 def _violation_doc(v) -> dict[str, Any]:
@@ -381,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("path", help="convergence document path, or -")
     p.add_argument(
-        "--kind", required=True, choices=("lim", "strict", "pretop", "top")
+        "--kind", required=True, choices=tuple(MODIFICATIONS)
     )
     p.set_defaults(handler=_cmd_modify)
 

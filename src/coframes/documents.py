@@ -2,16 +2,18 @@
 
 One canonical serialization per kind, strict parsers that reject missing or
 unknown entries, and a kind sniffer so the command line can validate a file
-without being told what it holds.  Canonical form: object keys sorted,
-subset labels written as ``{a,b}`` with the member labels sorted, two-space
-indentation, trailing newline.
+without being told what it holds.  :data:`DOCUMENT_KINDS` is the one table of
+the kinds: for each, the class it holds, the keys that name it, its reader and
+its writer; the sniffer and the generic reader and writer all read it.
+Canonical form: object keys sorted, subset labels written as ``{a,b}`` with
+the member labels sorted, two-space indentation, trailing newline.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .adherence import AdherenceStructure, adherence_structure
 from .convergence import ConvergenceStructure
@@ -37,6 +39,7 @@ from .lattice import (
 from .topology import TopologicalStructure, topological_structure
 
 __all__ = [
+    "DOCUMENT_KINDS",
     "adherence_from_doc",
     "adherence_space_from_doc",
     "adherence_space_to_doc",
@@ -92,6 +95,15 @@ def _check_point_labels(points: Iterable[str]) -> tuple[str, ...]:
 def _require_mapping(doc: Any, kind: str) -> Mapping[str, Any]:
     if not isinstance(doc, Mapping):
         raise DocumentError(f"{kind} document must be a JSON object")
+    return doc
+
+
+def _keyed(doc: Any, kind: str) -> Mapping[str, Any]:
+    """``doc`` as an object holding exactly the two keys that name ``kind``."""
+    doc = _require_mapping(doc, kind)
+    first, second = DOCUMENT_KINDS[kind].keys
+    if set(doc) != {first, second}:
+        raise DocumentError(f'{kind} document needs exactly "{first}" and "{second}"')
     return doc
 
 
@@ -219,9 +231,7 @@ def convergence_to_doc(cs: ConvergenceStructure) -> dict[str, Any]:
 
 
 def convergence_from_doc(doc: Any) -> ConvergenceStructure:
-    doc = _require_mapping(doc, "convergence")
-    if set(doc) != {"lattice", "lim"}:
-        raise DocumentError('convergence document needs exactly "lattice" and "lim"')
+    doc = _keyed(doc, "convergence")
     lattice = lattice_from_doc(doc["lattice"])
     return ConvergenceStructure(lattice, _table_from_mapping(lattice, doc["lim"], "lim"))
 
@@ -235,9 +245,7 @@ def adherence_to_doc(ns: AdherenceStructure) -> dict[str, Any]:
 
 
 def adherence_from_doc(doc: Any) -> AdherenceStructure:
-    doc = _require_mapping(doc, "adherence")
-    if set(doc) != {"lattice", "nu"}:
-        raise DocumentError('adherence document needs exactly "lattice" and "nu"')
+    doc = _keyed(doc, "adherence")
     lattice = lattice_from_doc(doc["lattice"])
     return adherence_structure(lattice, _table_from_mapping(lattice, doc["nu"], "nu"))
 
@@ -251,9 +259,7 @@ def topology_to_doc(ts: TopologicalStructure) -> dict[str, Any]:
 
 
 def topology_from_doc(doc: Any) -> TopologicalStructure:
-    doc = _require_mapping(doc, "topology")
-    if set(doc) != {"lattice", "closed"}:
-        raise DocumentError('topological document needs exactly "lattice" and "closed"')
+    doc = _keyed(doc, "topology")
     lattice = lattice_from_doc(doc["lattice"])
     labels = _string_list(doc["closed"], '"closed"')
     members = [_label_of(lattice, c, '"closed"') for c in labels]
@@ -351,9 +357,7 @@ def _space_table(doc: Mapping[str, Any], key: str) -> tuple[tuple[str, ...], lis
 
 
 def space_from_doc(doc: Any) -> FiniteConvergenceSpace:
-    doc = _require_mapping(doc, "space")
-    if set(doc) != {"points", "lim"}:
-        raise DocumentError('space document needs exactly "points" and "lim"')
+    doc = _keyed(doc, "space")
     pts, table = _space_table(doc, "lim")
     return FiniteConvergenceSpace(pts, tuple(table))
 
@@ -366,9 +370,7 @@ def adherence_space_to_doc(adh: FiniteAdherenceSpace) -> dict[str, Any]:
 
 
 def adherence_space_from_doc(doc: Any) -> FiniteAdherenceSpace:
-    doc = _require_mapping(doc, "adherence space")
-    if set(doc) != {"points", "nu"}:
-        raise DocumentError('adherence-space document needs exactly "points" and "nu"')
+    doc = _keyed(doc, "adherence-space")
     pts, table = _space_table(doc, "nu")
     return FiniteAdherenceSpace(pts, tuple(table))
 
@@ -381,11 +383,7 @@ def topological_space_to_doc(tsp: FiniteTopologicalSpace) -> dict[str, Any]:
 
 
 def topological_space_from_doc(doc: Any) -> FiniteTopologicalSpace:
-    doc = _require_mapping(doc, "topological space")
-    if set(doc) != {"points", "closed"}:
-        raise DocumentError(
-            'topological-space document needs exactly "points" and "closed"'
-        )
+    doc = _keyed(doc, "topological-space")
     pts = _check_point_labels(_string_list(doc["points"], '"points"'))
     _check_point_count(pts)
     labels = _string_list(doc["closed"], '"closed"')
@@ -398,88 +396,85 @@ def topological_space_from_doc(doc: Any) -> FiniteTopologicalSpace:
 
 
 # ---------------------------------------------------------------------------
-# kind detection and dispatch
+# the document kinds
+
+
+class DocumentKind(NamedTuple):
+    """One kind of document: the class it holds, the keys that name it,
+    and its reader and writer."""
+
+    cls: type
+    keys: tuple[str, ...]
+    read: Callable[[Any], Any]
+    write: Callable[[Any], dict[str, Any]]
+
+
+# kind -> entry, in the order document_kind tries them.  A "points" or a
+# "lattice" document is named by its second key; a lattice document holds
+# either of its two keys, or is a fixture name.
+DOCUMENT_KINDS: dict[str, DocumentKind] = {
+    "space": DocumentKind(FiniteConvergenceSpace, ("points", "lim"), space_from_doc, space_to_doc),
+    "adherence-space": DocumentKind(
+        FiniteAdherenceSpace, ("points", "nu"), adherence_space_from_doc, adherence_space_to_doc
+    ),
+    "topological-space": DocumentKind(
+        FiniteTopologicalSpace, ("points", "closed"), topological_space_from_doc,
+        topological_space_to_doc,
+    ),
+    "convergence": DocumentKind(
+        ConvergenceStructure, ("lattice", "lim"), convergence_from_doc, convergence_to_doc
+    ),
+    "adherence": DocumentKind(
+        AdherenceStructure, ("lattice", "nu"), adherence_from_doc, adherence_to_doc
+    ),
+    "topology": DocumentKind(
+        TopologicalStructure, ("lattice", "closed"), topology_from_doc, topology_to_doc
+    ),
+    "filter": DocumentKind(
+        Filter, ("lattice", "filter"),
+        lambda doc: filter_from_doc(doc, lattice_from_doc(doc["lattice"])),
+        lambda f: {**filter_to_doc(f), "lattice": lattice_to_doc(f.lattice)},
+    ),
+    "upset": DocumentKind(
+        UpSet, ("lattice", "upset"),
+        lambda doc: upset_from_doc(doc, lattice_from_doc(doc["lattice"])),
+        lambda u: {**upset_to_doc(u), "lattice": lattice_to_doc(u.lattice)},
+    ),
+    "lattice": DocumentKind(
+        FiniteLattice, ("elements", "powerset"), lattice_from_doc, lattice_to_doc
+    ),
+}
 
 
 def document_kind(doc: Any) -> str:
-    """Sniff which document format a parsed JSON value uses."""
+    """Sniff which document format a parsed JSON value uses: the first
+    entry of :data:`DOCUMENT_KINDS` that names it."""
     if isinstance(doc, str):
         return "lattice"
     doc = _require_mapping(doc, "any")
-    if "points" in doc:
-        if "lim" in doc:
-            return "space"
-        if "nu" in doc:
-            return "adherence-space"
-        if "closed" in doc:
-            return "topological-space"
-        raise DocumentError('a "points" document needs "lim", "nu" or "closed"')
-    if "lattice" in doc:
-        if "lim" in doc:
-            return "convergence"
-        if "nu" in doc:
-            return "adherence"
-        if "closed" in doc:
-            return "topology"
-        if "filter" in doc:
-            return "filter"
-        if "upset" in doc:
-            return "upset"
-        raise DocumentError(
-            'a "lattice" document needs "lim", "nu", "closed", "filter" or "upset"'
-        )
-    if "elements" in doc or "powerset" in doc:
+    for head in ("points", "lattice"):
+        if head in doc:
+            tags = {e.keys[1]: kind for kind, e in DOCUMENT_KINDS.items() if e.keys[0] == head}
+            for tag, kind in tags.items():
+                if tag in doc:
+                    return kind
+            *rest, last = (f'"{tag}"' for tag in tags)
+            raise DocumentError(f'a "{head}" document needs {", ".join(rest)} or {last}')
+    if any(key in doc for key in DOCUMENT_KINDS["lattice"].keys):
         return "lattice"
     raise DocumentError(f"cannot tell what kind of document this is: keys {sorted(doc)}")
 
 
 def structure_from_doc(doc: Any):
     """Parse a document of any kind into the corresponding engine object."""
-    kind = document_kind(doc)
-    if kind == "lattice":
-        return lattice_from_doc(doc)
-    if kind == "convergence":
-        return convergence_from_doc(doc)
-    if kind == "adherence":
-        return adherence_from_doc(doc)
-    if kind == "topology":
-        return topology_from_doc(doc)
-    if kind == "space":
-        return space_from_doc(doc)
-    if kind == "adherence-space":
-        return adherence_space_from_doc(doc)
-    if kind == "topological-space":
-        return topological_space_from_doc(doc)
-    lattice = lattice_from_doc(doc["lattice"])
-    if kind == "filter":
-        return filter_from_doc(doc, lattice)
-    return upset_from_doc(doc, lattice)
+    return DOCUMENT_KINDS[document_kind(doc)].read(doc)
 
 
 def structure_to_doc(obj: Any) -> dict[str, Any]:
     """Serialize any engine object to its document form."""
-    if isinstance(obj, FiniteLattice):
-        return lattice_to_doc(obj)
-    if isinstance(obj, ConvergenceStructure):
-        return convergence_to_doc(obj)
-    if isinstance(obj, AdherenceStructure):
-        return adherence_to_doc(obj)
-    if isinstance(obj, TopologicalStructure):
-        return topology_to_doc(obj)
-    if isinstance(obj, FiniteConvergenceSpace):
-        return space_to_doc(obj)
-    if isinstance(obj, FiniteAdherenceSpace):
-        return adherence_space_to_doc(obj)
-    if isinstance(obj, FiniteTopologicalSpace):
-        return topological_space_to_doc(obj)
-    if isinstance(obj, Filter):
-        doc = filter_to_doc(obj)
-        doc["lattice"] = lattice_to_doc(obj.lattice)
-        return doc
-    if isinstance(obj, UpSet):
-        doc = upset_to_doc(obj)
-        doc["lattice"] = lattice_to_doc(obj.lattice)
-        return doc
+    for entry in DOCUMENT_KINDS.values():
+        if isinstance(obj, entry.cls):
+            return entry.write(obj)
     raise DocumentError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -489,4 +484,5 @@ def load_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise DocumentError(f"not valid JSON: {err}") from None
-    return document_kind(doc), structure_from_doc(doc)
+    kind = document_kind(doc)
+    return kind, DOCUMENT_KINDS[kind].read(doc)

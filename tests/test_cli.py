@@ -531,6 +531,97 @@ class TestSearchCommand:
         assert a == b
 
 
+# one document of each kind; the two point-side kinds without fixtures are
+# the spaces of points of an adherence and a topology fixture
+PAYLOAD_DOCUMENTS = {
+    "lattice": ("fixture", "N5"),
+    "convergence": ("fixture", "SIERP_LIM"),
+    "adherence": ("fixture", "SIERP_ADH"),
+    "topology": ("fixture", "SIERP_TOP"),
+    "space": ("fixture", "SIERP_SPACE"),
+    "adherence-space": ("pt", "SIERP_ADH"),
+    "topological-space": ("pt", "SIERP_TOP"),
+    "filter": ("literal", {"lattice": {"powerset": ["a", "b"]}, "filter": "{a}"}),
+    "upset": ("literal", {"lattice": "CHAIN3", "upset": ["m", "1"]}),
+}
+
+# the payload keys of each report, in the order the human mode prints them
+CLASSIFY_PAYLOADS = {
+    "lattice": [
+        "kind", "elements", "distributive", "spatial", "prime_continuous",
+        "complemented", "join_primes", "meet_primes",
+    ],
+    "convergence": ["kind", "flags", "points", "quasi_closed", "closed"],
+    "adherence": ["kind", "flags", "quasi_closed", "closed"],
+    "topology": ["kind", "flags", "closed", "strong"],
+    "space": ["kind", "flags", "points"],
+    "adherence-space": ["kind", "flags", "points"],
+    "topological-space": ["kind", "flags", "points"],
+    "filter": ["kind", "generator", "proper"],
+    "upset": ["kind", "members"],
+}
+PT_KINDS = {
+    "convergence": "space",
+    "adherence": "adherence-space",
+    "topology": "topological-space",
+}
+
+
+class TestPayloads:
+    @pytest.fixture
+    def document(self, capsys, tmp_path):
+        def write(kind):
+            source, value = PAYLOAD_DOCUMENTS[kind]
+            if source == "fixture":
+                return write_fixture(capsys, tmp_path, value, "doc.json")
+            if source == "literal":
+                text = canonical_json(value)
+            else:
+                source_path = write_fixture(capsys, tmp_path, value, "source.json")
+                code, text, _ = run(capsys, ["pt", str(source_path)])
+                assert code == 0
+            path = tmp_path / "doc.json"
+            path.write_text(text, encoding="utf-8")
+            return path
+
+        return write
+
+    def payload(self, capsys, argv, stream="out"):
+        """The report's payload keys: as a set from --json, in order from
+        the human lines (which leave out the emitted document)."""
+        code, out, _ = run(capsys, argv + ["--json"])
+        report = json.loads(out)
+        assert code == 0 and report["outcome"] == "pass"
+        code, out, err = run(capsys, argv)
+        human = [line.split(":")[0] for line in (out if stream == "out" else err).splitlines()]
+        assert code == 0 and human[0] == "outcome"
+        return report, set(report) - {"command", "outcome", "elapsed_ms"}, human[1:]
+
+    @pytest.mark.parametrize("kind", list(PAYLOAD_DOCUMENTS))
+    def test_classify_payload(self, capsys, document, kind):
+        report, keys, order = self.payload(capsys, ["classify", str(document(kind))])
+        assert report["kind"] == kind
+        assert order == CLASSIFY_PAYLOADS[kind] and keys == set(order)
+
+    @pytest.mark.parametrize("kind", list(PAYLOAD_DOCUMENTS))
+    def test_validate_payload(self, capsys, document, kind):
+        report, keys, order = self.payload(capsys, ["validate", str(document(kind))])
+        expected = ["kind"]
+        if kind == "lattice":
+            expected += ["elements", "distributive", "complemented"]
+        assert report["kind"] == kind
+        assert order == expected and keys == set(order) | {"document"}
+        assert load_document(canonical_json(report["document"]))[0] == kind
+
+    @pytest.mark.parametrize("kind", list(PT_KINDS))
+    def test_pt_payload(self, capsys, document, kind):
+        path = str(document(kind))
+        report, keys, order = self.payload(capsys, ["pt", path, "--roundtrip"], "err")
+        assert report["kind"] == PT_KINDS[kind]
+        assert order == ["kind", "points", "eta"] and keys == set(order) | {"document"}
+        assert load_document(canonical_json(report["document"]))[0] == PT_KINDS[kind]
+
+
 class TestJsonMode:
     def test_report_shape(self, capsys, tmp_path):
         path = write_fixture(capsys, tmp_path, "SIERP_LIM", "s.json")

@@ -314,7 +314,7 @@ def _run_producers():
             kow(cs, Filter(plat, a))
     for sp in spaces:
         cs = P_space(sp)
-        for kind in ("lim", "pretop", "top"):
+        for kind in ("lim", "strict", "pretop", "top"):
             modify_space(sp, kind)
         if coframes.classify(cs).pretopological:
             closure = to_adherence(sp)

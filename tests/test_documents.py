@@ -35,6 +35,7 @@ from coframes.fixtures import (
     topology_fixture_names,
 )
 from coframes.documents import (
+    DOCUMENT_KINDS,
     adherence_from_doc,
     adherence_space_from_doc,
     adherence_space_to_doc,
@@ -428,18 +429,37 @@ class TestDispatch:
             document_kind({"mystery": 1})
 
     def test_structure_round_trip_via_dispatch(self):
-        objects = [
-            lattice_fixture("N5"),
-            convergence_fixture("PX3_PRETOP"),
-            adherence_fixture("IDENTITY_ADH_BOOL2"),
-            topology_fixture("INDISCRETE_TOP"),
-            space_fixture("DISCRETE2_SPACE"),
-        ]
-        for obj in objects:
+        chain = lattice_fixture("CHAIN3")
+        examples = {
+            "lattice": lattice_fixture("N5"),
+            "convergence": convergence_fixture("PX3_PRETOP"),
+            "adherence": adherence_fixture("IDENTITY_ADH_BOOL2"),
+            "topology": topology_fixture("INDISCRETE_TOP"),
+            "space": space_fixture("DISCRETE2_SPACE"),
+            "adherence-space": to_adherence(space_fixture("SIERP_SPACE")),
+            "topological-space": pt_top(topology_fixture("PX3_TOP")),
+            "filter": Filter(chain, chain.index("m")),
+            "upset": UpSet(chain, 1 << chain.index("m") | 1 << chain.index("1")),
+        }
+        # every kind of the table, so that no kind can be left out
+        assert set(DOCUMENT_KINDS) == set(examples)
+        for kind, entry in DOCUMENT_KINDS.items():
+            obj = examples[kind]
+            assert isinstance(obj, entry.cls)
             doc = structure_to_doc(obj)
+            assert document_kind(doc) == kind
             again = structure_from_doc(doc)
             assert type(again) is type(obj)
-            assert structure_to_doc(again) == doc
+            assert canonical_json(structure_to_doc(again)) == canonical_json(doc)
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in DOCUMENT_KINDS if k not in ("filter", "upset", "lattice")]
+    )
+    def test_readers_need_exactly_their_two_keys(self, kind):
+        first, second = DOCUMENT_KINDS[kind].keys
+        message = f'^{kind} document needs exactly "{first}" and "{second}"$'
+        with pytest.raises(DocumentError, match=message):
+            DOCUMENT_KINDS[kind].read({first: [], second: [], "extra": 1})
 
     def test_filter_dispatch_embeds_lattice(self):
         lat = lattice_fixture("BOOL2")

@@ -675,7 +675,7 @@ class TestSpaceModifications:
 
     def test_modifications_coarsen_and_idempotent(self):
         for sp in enumerate_spaces(("a", "b")):
-            for kind in ("lim", "pretop", "top"):
+            for kind in ("lim", "strict", "pretop", "top"):
                 out = modify_space(sp, kind)
                 for a in range(1 << sp.n_points):
                     assert sp.limtab[a] & ~out.limtab[a] == 0
