@@ -35,6 +35,7 @@ from .lattice import (
     powerset_lattice,
     subset_label,
     subset_mask,
+    subset_reader,
 )
 from .topology import TopologicalStructure, topological_structure
 
@@ -306,21 +307,19 @@ def upset_from_doc(doc: Any, lattice: FiniteLattice) -> UpSet:
 def _subset_labels(pts: tuple[str, ...], masks: Sequence[int]) -> list[str]:
     """The labels of the subsets ``masks`` of ``pts``, each checked to read
     back to its own subset, after the point labels pass the reader's
-    checks; raises :class:`DocumentError` before anything is written.  Only
-    comma point labels need the parse: without them a label splits into its
-    points one way, as the reader's lookup assumes."""
+    checks; raises :class:`DocumentError` before anything is written."""
     _check_point_labels(pts)
+    read = subset_reader(pts)
     labels = [subset_label(pts, a) for a in masks]
-    if any("," in p for p in pts):
-        for a, label in zip(masks, labels):
-            try:
-                readable = subset_mask(pts, label) == a
-            except DocumentError:
-                readable = False
-            if not readable:
-                raise DocumentError(
-                    f"point labels {list(pts)} make the subset label {label!r} unreadable"
-                )
+    for a, label in zip(masks, labels):
+        try:
+            readable = read(label) == a
+        except DocumentError:
+            readable = False
+        if not readable:
+            raise DocumentError(
+                f"point labels {list(pts)} make the subset label {label!r} unreadable"
+            )
     return labels
 
 
@@ -344,12 +343,13 @@ def _space_table(doc: Mapping[str, Any], key: str) -> tuple[tuple[str, ...], lis
     mapping = doc[key]
     if not isinstance(mapping, Mapping):
         raise DocumentError(f'"{key}" must map subset labels to subset labels')
+    read = subset_reader(pts)
     table = [-1] * (1 << len(pts))
     for k, v in mapping.items():
-        a = subset_mask(pts, k)
+        a = read(k)
         if table[a] != -1:
             raise DocumentError(f"subset {k!r} listed twice")
-        table[a] = subset_mask(pts, v)
+        table[a] = read(v)
     missing = [a for a, v in enumerate(table) if v == -1]
     if missing:
         raise _missing_entries(key, missing, lambda a: subset_label(pts, a))
@@ -386,10 +386,7 @@ def topological_space_from_doc(doc: Any) -> FiniteTopologicalSpace:
     doc = _keyed(doc, "topological-space")
     pts = _check_point_labels(_string_list(doc["points"], '"points"'))
     _check_point_count(pts)
-    labels = _string_list(doc["closed"], '"closed"')
-    # canonical labels of comma-free points parse one way: look them up
-    known = {} if any("," in p for p in pts) else powerset_lattice(pts).positions
-    masks = [known[c] if c in known else subset_mask(pts, c) for c in labels]
+    masks = list(map(subset_reader(pts), _string_list(doc["closed"], '"closed"')))
     if len(set(masks)) != len(masks):
         raise DocumentError('"closed" lists a subset twice')
     return FiniteTopologicalSpace(pts, tuple(sorted(masks)))

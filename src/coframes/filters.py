@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AxiomViolation, BudgetExceeded
+from .errors import AxiomViolation
 from .lattice import (
     FiniteLattice,
     LatticeMorphism,
@@ -26,8 +26,6 @@ __all__ = [
     "Filter",
     "UpSet",
     "all_filters",
-    "enumerate_filter_masks",
-    "enumerate_upset_masks",
     "intersection",
     "is_proper",
     "refines",
@@ -98,47 +96,6 @@ def all_filters(lattice: FiniteLattice) -> list[Filter]:
     Includes the improper filter (generated by bottom).
     """
     return [_trusted(Filter, lattice=lattice, generator=g) for g in range(lattice.n)]
-
-
-_FILTER_SCAN_LIMIT = 16
-
-
-def enumerate_filter_masks(lattice: FiniteLattice) -> list[int]:
-    """Brute-force oracle: every nonempty, up-closed, meet-closed subset.
-
-    Scans all ``2**n`` subsets, so only for small carriers.  The test suite
-    freezes the claim that these are exactly the principal up-sets.
-    """
-    n = lattice.n
-    if n > _FILTER_SCAN_LIMIT:
-        raise BudgetExceeded(
-            f"filter subset scan on {n} elements (limit {_FILTER_SCAN_LIMIT})"
-        )
-    out = []
-    for mask in range(1, 1 << n):
-        members = list(bits(mask))
-        if any(lattice.up[i] & mask != lattice.up[i] for i in members):
-            continue
-        if all(
-            mask >> lattice.meet(a, b) & 1 for a in members for b in members
-        ):
-            out.append(mask)
-    return out
-
-
-def enumerate_upset_masks(lattice: FiniteLattice) -> list[int]:
-    """Every up-closed subset (including the empty one), for exhaustive law
-    checks on small carriers."""
-    n = lattice.n
-    if n > _FILTER_SCAN_LIMIT:
-        raise BudgetExceeded(
-            f"up-set subset scan on {n} elements (limit {_FILTER_SCAN_LIMIT})"
-        )
-    return [
-        mask
-        for mask in range(1 << n)
-        if all(lattice.up[i] & mask == lattice.up[i] for i in bits(mask))
-    ]
 
 
 def is_proper(f: Filter) -> bool:

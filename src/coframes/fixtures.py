@@ -47,7 +47,6 @@ __all__ = [
     "random_poset",
     "random_downset_lattice",
     "random_antitone_table",
-    "random_convergence_structure",
     "enumerate_antitone_tables",
 ]
 
@@ -309,12 +308,6 @@ def random_antitone_table(
                 below &= below - 1
             table[h] = (below & -below).bit_length() - 1
     return tuple(table)
-
-
-def random_convergence_structure(
-    rng: random.Random, lattice: FiniteLattice
-) -> ConvergenceStructure:
-    return ConvergenceStructure(lattice, random_antitone_table(rng, lattice))
 
 
 def enumerate_antitone_tables(

@@ -492,51 +492,79 @@ def subset_label(ground: Sequence[str], mask: int) -> str:
     return "{" + ",".join(sorted(ground[i] for i in bits(mask))) + "}"
 
 
-def _subset_parses(
-    ground: Sequence[str], fragments: list[str], lenient: bool
+def _label_parses(
+    index: Mapping[str, int], spans: Sequence[int], fragments: list[str], lenient: bool
 ) -> set[int]:
-    """All ways of reassembling comma-split fragments into labels of
-    ``ground`` (labels may themselves contain commas, so fragments are
-    grouped by backtracking)."""
+    """The subsets whose member labels, each spanning as many comma-split
+    fragments as it holds commas plus one (``spans``, ascending), spell
+    ``fragments`` in order; ``lenient`` strips spaces around a one-fragment
+    member.  Walks the fragments position by position, keeping the subsets
+    that reach each position."""
+    reach: list[set[int]] = [set() for _ in range(len(fragments) + 1)]
+    reach[0].add(0)
+    for pos, masks in enumerate(reach[:-1]):
+        for span in spans:
+            if not masks or pos + span > len(fragments):
+                break
+            name = ",".join(fragments[pos : pos + span])
+            i = index.get(name.strip() if lenient and span == 1 else name)
+            if i is not None:
+                reach[pos + span].update(m | 1 << i for m in masks if not m >> i & 1)
+    return reach[-1]
+
+
+def subset_reader(ground: Sequence[str]) -> Callable[[Any], int]:
+    """The one reader of subset labels of ``ground``, built once per ground:
+    a function from a label in :func:`subset_label` form (spaces after
+    commas tolerated) to its subset mask, raising :class:`DocumentError`
+    for a label that is not a string, names no subset or names more than
+    one.
+
+    A ground that :func:`powerset_lattice` takes, whose point labels hold
+    no comma and no flanking space (as on every comma-free ground a space
+    document may have), spells each subset one way, so a canonical label
+    is looked up among that powerset's labels.  Any other label is parsed
+    by :func:`_label_parses`: a label of ``F`` comma-split fragments costs
+    at most ``F`` steps per distinct comma count of the point labels, each
+    over the subsets that spell the fragments so far (at most ``2^k`` on
+    ``k`` points), instead of one try per grouping of the fragments.  The
+    lenient parse runs only when the strict one finds nothing.
+    """
     index = {p: i for i, p in enumerate(ground)}
-    results: set[int] = set()
+    spans = sorted({p.count(",") + 1 for p in ground})
+    plain = len(index) == len(ground) <= _POWERSET_BUDGET and all(
+        p and "," not in p and p == p.strip() for p in ground
+    )
+    known = powerset_lattice(ground).positions if plain else {}
 
-    def rec(pos: int, mask: int) -> None:
-        if pos == len(fragments):
-            results.add(mask)
-            return
-        for end in range(pos, len(fragments)):
-            name = ",".join(fragments[pos : end + 1])
-            if lenient and end == pos:
-                name = name.strip()
-            i = index.get(name)
-            if i is not None and not mask >> i & 1:
-                rec(end + 1, mask | 1 << i)
+    def read(label: Any) -> int:
+        if not isinstance(label, str):
+            raise DocumentError(f"subset label must be a string, got {label!r}")
+        if label in known:
+            return known[label]
+        body = label.strip()
+        if not (body.startswith("{") and body.endswith("}")):
+            raise DocumentError(f"subset label {label!r} is not brace-delimited")
+        inner = body[1:-1]
+        if not inner.strip():
+            return 0
+        fragments = inner.split(",")
+        found = _label_parses(index, spans, fragments, False) or _label_parses(
+            index, spans, fragments, True
+        )
+        if not found:
+            raise DocumentError(f"{label!r} does not name a subset of {list(ground)}")
+        if len(found) > 1:
+            raise DocumentError(f"subset label {label!r} is ambiguous")
+        return found.pop()
 
-    rec(0, 0)
-    return results
+    return read
 
 
 def subset_mask(ground: Sequence[str], label: str) -> int:
-    """The subset of ``ground`` named by a label in :func:`subset_label`
-    form (spaces after commas tolerated); raises :class:`DocumentError` for
-    a label that names no subset or more than one."""
-    if not isinstance(label, str):
-        raise DocumentError(f"subset label must be a string, got {label!r}")
-    body = label.strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise DocumentError(f"subset label {label!r} is not brace-delimited")
-    inner = body[1:-1]
-    if not inner.strip():
-        return 0
-    parses = _subset_parses(ground, inner.split(","), lenient=False)
-    if not parses:
-        parses = _subset_parses(ground, inner.split(","), lenient=True)
-    if not parses:
-        raise DocumentError(f"{label!r} does not name a subset of {list(ground)}")
-    if len(parses) > 1:
-        raise DocumentError(f"subset label {label!r} is ambiguous")
-    return parses.pop()
+    """The subset of ``ground`` named by ``label``, read by
+    :func:`subset_reader`."""
+    return subset_reader(ground)(label)
 
 
 _POWERSET_BUDGET = 12

@@ -70,7 +70,7 @@ from coframes import (
     dualize,
 )
 from coframes.convergence import S1_KINDS
-from coframes.filters import bits, enumerate_filter_masks, enumerate_upset_masks
+from coframes.filters import bits
 from coframes.laws import star_extension_unique
 from coframes.lattice import _table_violation
 from coframes.documents import convergence_from_doc
@@ -84,12 +84,12 @@ from coframes.fixtures import (
     lattice_fixture,
     lattice_fixture_names,
     random_adherence_structure,
-    random_convergence_structure,
     random_downset_lattice,
     space_fixture,
     topology_fixture,
 )
 from coframes.search import parse_conjecture, search_counterexample
+from oracles import enumerate_filter_masks, enumerate_upset_masks, random_convergence_structure
 
 
 def _pass(number: int, detail: str) -> None:

@@ -34,7 +34,6 @@ from coframes.fixtures import (
     enumerate_antitone_tables,
     lattice_fixture,
     lattice_fixture_names,
-    random_convergence_structure,
 )
 from coframes.lattice import (
     LatticeMorphism,
@@ -45,6 +44,7 @@ from coframes.lattice import (
     powerset_lattice,
 )
 from coframes.search import small_coframes
+from oracles import random_convergence_structure
 
 
 def labels(lat, items):

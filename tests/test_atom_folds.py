@@ -35,7 +35,7 @@ from coframes.adherence import (
     random_adherence_structure,
 )
 from coframes.convergence import ConvergenceStructure
-from coframes.filters import UpSet, all_filters, enumerate_upset_masks, mesh
+from coframes.filters import UpSet, all_filters, mesh
 from coframes.fixtures import (
     adherence_fixture,
     adherence_fixture_names,
@@ -50,6 +50,7 @@ from coframes.fixtures import (
 )
 from coframes.lattice import _trusted, bits, powerset_lattice
 from coframes.search import small_coframes
+from oracles import enumerate_upset_masks
 
 
 def rows_by_definition(lat):

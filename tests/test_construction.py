@@ -60,7 +60,6 @@ from coframes.filters import (
     Filter,
     UpSet,
     all_filters,
-    enumerate_upset_masks,
     grill,
     intersection,
     preimage_filter,
@@ -100,6 +99,7 @@ from coframes.topology import (
     sublocale_counit,
     topological_modification,
 )
+from oracles import enumerate_upset_masks
 
 SRC = Path(coframes.__file__).parent
 

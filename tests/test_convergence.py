@@ -38,11 +38,11 @@ from coframes.fixtures import (
     lattice_fixture,
     lattice_fixture_names,
     random_antitone_table,
-    random_convergence_structure,
     random_downset_lattice,
 )
 from coframes.lattice import LatticeMorphism, bits, identity_morphism, powerset_lattice
 from coframes.search import small_coframes
+from oracles import random_convergence_structure
 
 
 def table(cs, mapping):

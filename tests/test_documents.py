@@ -2,6 +2,7 @@
 form, subset-label handling, and error reporting."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -69,8 +70,15 @@ from coframes.duality import (
     top_space_convergence,
 )
 from coframes.errors import DocumentError, NotALattice
-from coframes.lattice import build_lattice, cover_pairs, downset_lattice, poset_from_covers
+from coframes.lattice import (
+    build_lattice,
+    cover_pairs,
+    downset_lattice,
+    poset_from_covers,
+    subset_reader,
+)
 from coframes.topology import sublocale_counit, sublocale_lattice
+from oracles import backtracking_subset_mask
 
 
 class TestCanonicalJson:
@@ -128,6 +136,8 @@ class TestSubsetLabels:
 
         assert documents.subset_mask is lattice.subset_mask
         assert subset_mask is lattice.subset_mask
+        assert documents.subset_reader is lattice.subset_reader
+        assert not hasattr(documents, "_label_parses")
         assert not hasattr(documents, "_subset_parses")
 
 
@@ -276,19 +286,29 @@ class TestSpaceDocuments:
         assert again.closed == tsp.closed
 
     def test_canonical_space_labels_are_looked_up_not_parsed(self, monkeypatch):
-        from coframes import documents
+        from coframes import lattice
 
-        def refuse(points, label):
-            raise AssertionError(f"parsed {label!r}")
+        def refuse(index, spans, fragments, lenient):
+            raise AssertionError(f"parsed {fragments!r}")
 
-        points = tuple("dbca")
-        doc = {"points": list(points), "closed": [subset_label(points, m) for m in range(16)]}
-        monkeypatch.setattr(documents, "subset_mask", refuse)
-        assert topological_space_from_doc(doc).closed == tuple(range(16))
-        # a label in any other spelling still goes to the one parser
-        doc["closed"][3] = "{d, b}"
-        with pytest.raises(AssertionError, match=r"parsed '\{d, b\}'"):
-            topological_space_from_doc(doc)
+        tsp = FiniteTopologicalSpace(tuple("dbca"), tuple(range(16)))
+        space = top_space_convergence(tsp)
+        monkeypatch.setattr(lattice, "_label_parses", refuse)
+        for obj, write, read, key, fields in (
+            (tsp, topological_space_to_doc, topological_space_from_doc, "closed", ("closed",)),
+            (space, space_to_doc, space_from_doc, "lim", ("limtab",)),
+            (to_adherence(space), adherence_space_to_doc, adherence_space_from_doc, "nu", ("adhtab",)),
+        ):
+            doc = write(obj)
+            again = read(doc)
+            assert [getattr(again, f) for f in fields] == [getattr(obj, f) for f in fields]
+            # a label in any other spelling still goes to the one parser
+            if key == "closed":
+                doc[key] = [c.replace("{b,d}", "{d, b}") for c in doc[key]]
+            else:
+                doc[key]["{d, b}"] = doc[key].pop("{b,d}")
+            with pytest.raises(AssertionError, match=r"parsed \['d', ' b'\]"):
+                read(doc)
 
     @pytest.mark.parametrize(
         "points,label", [(("a", "b", "a,b"), "{a,b}"), (("b", "a", "b,a"), "{b,a}")]
@@ -405,6 +425,53 @@ class TestLabelsRoundTrip:
             cs = discrete_structure(side)
             again = written_and_read(cs, convergence_to_doc, convergence_from_doc)
             assert again.lattice is side and again.limtab == cs.limtab
+
+
+def read_outcome(read, label):
+    """The mask ``read`` gives ``label``, or the message it refuses it with."""
+    try:
+        return read(label)
+    except DocumentError as exc:
+        return str(exc)
+
+
+# the points x, "x,x", ..., eleven commas; the 78 fragments of LONG_LABEL
+# group in more ways than a backtracking parse can try
+COMMA_POINTS = [",".join("x" * k) for k in range(1, 13)]
+LONG_LABEL = "{" + ",".join("x" * 78) + "}"
+
+
+class TestSubsetReader:
+    """The reader gives the backtracking oracle's mask or its message."""
+
+    @given(LABELS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_agrees_with_the_backtracking_oracle(self, ground, data):
+        members = data.draw(st.lists(st.sampled_from(ground), max_size=4)) if ground else []
+        seps = ["", *(data.draw(st.sampled_from([",", ", "])) for _ in members[1:])]
+        spelled = "{" + "".join(sep + m for sep, m in zip(seps, members)) + "}"
+        noise = data.draw(st.text(alphabet="ab,{} ", max_size=8))
+        read = subset_reader(ground)
+        for label in (spelled, noise, subset_label(ground, (1 << len(ground)) - 1), None, 3):
+            expected = read_outcome(lambda l: backtracking_subset_mask(ground, l), label)
+            assert read_outcome(read, label) == expected
+
+    @pytest.mark.parametrize(
+        "read,doc",
+        [
+            (space_from_doc, {"points": COMMA_POINTS, "lim": {LONG_LABEL: "{}"}}),
+            (adherence_space_from_doc, {"points": COMMA_POINTS, "nu": {LONG_LABEL: "{}"}}),
+            (topological_space_from_doc, {"points": COMMA_POINTS, "closed": [LONG_LABEL] * 2}),
+        ],
+    )
+    def test_labels_of_many_fragments_are_read_in_polynomial_time(self, read, doc):
+        # the backtracking parse of the full label takes about 1.7 s on 9
+        # such points and grows about tenfold per point (hours at 12 is
+        # extrapolated, not run); the reader takes milliseconds
+        start = time.perf_counter()
+        with pytest.raises(DocumentError, match="missing 4095 entries|lists a subset twice"):
+            read(doc)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestDispatch:

@@ -59,7 +59,6 @@ from coframes.fixtures import (
     convergence_fixture,
     discrete_structure,
     lattice_fixture,
-    random_convergence_structure,
     space_fixture,
     space_fixture_names,
     topology_fixture,
@@ -89,6 +88,7 @@ from coframes.lattice import (
 )
 from coframes.search import small_coframes
 from coframes.topology import sublocale_lattice, topological_structure
+from oracles import random_convergence_structure
 
 
 def small_carriers():

@@ -13,8 +13,6 @@ from coframes.filters import (
     Filter,
     UpSet,
     all_filters,
-    enumerate_filter_masks,
-    enumerate_upset_masks,
     grill,
     intersection,
     is_proper,
@@ -26,6 +24,7 @@ from coframes.filters import (
 )
 from coframes.fixtures import lattice_fixture, random_downset_lattice
 from coframes.lattice import LatticeMorphism, bits
+from oracles import enumerate_filter_masks, enumerate_upset_masks
 
 SMALL = ("CHAIN1", "CHAIN2", "CHAIN3", "BOOL2", "PX3", "V5", "M3", "N5")
 
@@ -272,8 +271,6 @@ class TestPreimages:
                 img = phi.values[a]
                 star = pseudocomplement(src, a)
                 assert phi.values[star] == pseudocomplement(tgt, img)
-            from coframes.filters import enumerate_upset_masks
-
             for m in enumerate_upset_masks(tgt):
                 ups = UpSet(tgt, m)
                 pre = preimage_upset(phi, ups)

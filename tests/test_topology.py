@@ -48,7 +48,6 @@ from coframes.fixtures import (
     enumerate_antitone_tables,
     lattice_fixture,
     lattice_fixture_names,
-    random_convergence_structure,
     topology_fixture,
     topology_fixture_names,
 )
@@ -67,6 +66,7 @@ from coframes.lattice import (
     powerset_lattice,
     require_sublattice,
 )
+from oracles import random_convergence_structure
 
 
 def heyting_implication(lattice, u, v):
