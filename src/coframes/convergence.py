@@ -17,7 +17,7 @@ sets on first use and keeps them.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import AxiomViolation, UnknownKind
 from .filters import Filter
@@ -37,6 +37,7 @@ __all__ = [
     "StructureClass",
     "ClassFlags",
     "CLASS_COST_ORDER",
+    "table_class_tests",
     "ContinuityReport",
     "convergence_structure",
     "lim",
@@ -190,49 +191,67 @@ class StructureClass:
         return asdict(self)
 
 
-# Each class test reads the flags: the carrier and table, the structure
-# for the flags that need its derived tables, and, for flags derived from
-# other flags, the flags themselves.
+# Each class test is bound to a carrier once, capturing the carrier's fields
+# it reads, and then reads antitone tables on it.  Derived carrier data
+# (``splits``, ``comp_above``) is read when a table is, so binding builds
+# none of it.  The tests that need a structure's derived tables get it from
+# ``structure``, which maps a table to its structure.
+
+Structure = Callable[[tuple[int, ...]], ConvergenceStructure]
+TableTest = Callable[[tuple[int, ...]], bool]
 
 
-def _strict(flags: ClassFlags) -> bool:
-    return flags.limtab[flags.lattice.bottom] == flags.lattice.top
+def _strict(lat: FiniteLattice, structure: Structure) -> TableTest:
+    bottom, top = lat.bottom, lat.top
+    return lambda tab: tab[bottom] == top
 
 
-def _limit(flags: ClassFlags) -> bool:
+def _limit(lat: FiniteLattice, structure: Structure) -> TableTest:
     # The table is antitone, so the law holds at comparable pairs; on a
     # distributive carrier it then holds everywhere iff it holds at the splits.
-    lat, tab = flags.lattice, flags.limtab
     meet = lat.meet
-    for x, a, b in lat.splits:
-        if tab[x] != meet(tab[a], tab[b]):
-            return False
-    return True
+
+    def limit(tab: tuple[int, ...]) -> bool:
+        for x, a, b in lat.splits:
+            if tab[x] != meet(tab[a], tab[b]):
+                return False
+        return True
+
+    return limit
 
 
-def _classical(flags: ClassFlags) -> bool:
-    tab = flags.limtab
-    return all(tab[g] == tab[c] for g, c in enumerate(flags.lattice.comp_above))
+def _pretopological(lat: FiniteLattice, structure: Structure) -> TableTest:
+    strict, limit = _strict(lat, structure), _limit(lat, structure)
+    return lambda tab: strict(tab) and limit(tab)
 
 
-def _centered(flags: ClassFlags) -> bool:
-    lat, adh = flags.lattice, flags.structure.adh
-    return all(lat.leq(l, adh[l]) for l in range(lat.n))
+def _classical(lat: FiniteLattice, structure: Structure) -> TableTest:
+    return lambda tab: all(tab[g] == tab[c] for g, c in enumerate(lat.comp_above))
 
 
-def _topological(flags: ClassFlags) -> bool:
+def _centered(lat: FiniteLattice, structure: Structure) -> TableTest:
+    leq, elements = lat.leq, range(lat.n)
+
+    def centered(tab: tuple[int, ...]) -> bool:
+        adh = structure(tab).adh
+        return all(leq(l, adh[l]) for l in elements)
+
+    return centered
+
+
+def _topological(lat: FiniteLattice, structure: Structure) -> TableTest:
     from .topology import is_topological  # deferred: topology builds on this module
 
-    return is_topological(flags.structure)
+    return lambda tab: is_topological(structure(tab))
 
 
 # The class tests in ascending cost: strict is O(1), limit and pretopological
 # O(n), classical O(n) meets of up-sets, centered needs the adherence table
 # and topological the topological modification.
-_CLASS_TESTS: dict[str, Callable[[ClassFlags], bool]] = {
+_CLASS_TESTS: dict[str, Callable[[FiniteLattice, Structure], TableTest]] = {
     "strict": _strict,
     "limit": _limit,
-    "pretopological": lambda flags: flags["strict"] and flags["limit"],
+    "pretopological": _pretopological,
     "classical": _classical,
     "centered": _centered,
     "topological": _topological,
@@ -241,47 +260,42 @@ _CLASS_TESTS: dict[str, Callable[[ClassFlags], bool]] = {
 CLASS_COST_ORDER = tuple(_CLASS_TESTS)
 
 
+def table_class_tests(
+    lattice: FiniteLattice, names: Iterable[str]
+) -> tuple[TableTest, ...]:
+    """The class tests of ``names`` bound to ``lattice``, each reading an
+    antitone table on it, which the caller vouches for.
+
+    ``centered`` and ``topological`` read the table's structure, built (a
+    trusted build) when one of them first reads that table and shared by
+    both; the other four tests read only the table.
+    """
+    built: ConvergenceStructure | None = None
+
+    def structure(tab: tuple[int, ...]) -> ConvergenceStructure:
+        nonlocal built
+        if built is None or built.limtab is not tab:
+            built = _trusted(ConvergenceStructure, lattice=lattice, limtab=tab)
+        return built
+
+    return tuple(_CLASS_TESTS[name](lattice, structure) for name in names)
+
+
 class ClassFlags(Mapping[str, bool]):
     """The class flags of one structure, each computed on first read and
-    kept; iteration yields the names cheapest first.
+    kept; iteration yields the names cheapest first."""
 
-    ``ClassFlags(structure)`` reads a structure;
-    ``ClassFlags.of_table(lattice, limtab)`` reads an antitone table on a
-    distributive carrier, which the caller vouches for, and builds its
-    structure (a trusted build) only when ``structure`` is first read: by
-    the ``centered`` or ``topological`` test, or by the caller.  The other
-    four flags read only ``lattice`` and ``limtab``.
-    """
-
-    __slots__ = ("lattice", "limtab", "_structure", "_known")
+    __slots__ = ("structure", "_known")
 
     def __init__(self, structure: ConvergenceStructure) -> None:
-        self.lattice = structure.lattice
-        self.limtab = structure.limtab
-        self._structure: ConvergenceStructure | None = structure
+        self.structure = structure
         self._known: dict[str, bool] = {}
-
-    @classmethod
-    def of_table(cls, lattice: FiniteLattice, limtab: tuple[int, ...]) -> ClassFlags:
-        flags = cls.__new__(cls)
-        flags.lattice = lattice
-        flags.limtab = limtab
-        flags._structure = None
-        flags._known = {}
-        return flags
-
-    @property
-    def structure(self) -> ConvergenceStructure:
-        if self._structure is None:
-            self._structure = _trusted(
-                ConvergenceStructure, lattice=self.lattice, limtab=self.limtab
-            )
-        return self._structure
 
     def __getitem__(self, name: str) -> bool:
         known = self._known
         if name not in known:
-            known[name] = _CLASS_TESTS[name](self)
+            cs = self.structure
+            known[name] = _CLASS_TESTS[name](cs.lattice, lambda tab: cs)(cs.limtab)
         return known[name]
 
     def __iter__(self) -> Iterator[str]:

@@ -352,8 +352,21 @@ def _space_table(doc: Mapping[str, Any], key: str) -> tuple[tuple[str, ...], lis
         table[a] = read(v)
     missing = [a for a, v in enumerate(table) if v == -1]
     if missing:
-        raise _missing_entries(key, missing, lambda a: subset_label(pts, a))
+        raise _missing_entries(key, missing, lambda a: _subset_name(pts, read, a))
     return pts, table
+
+
+def _subset_name(pts: tuple[str, ...], read: Callable[[Any], int], a: int) -> str:
+    """The label of the subset ``a`` of ``pts`` when it reads back to ``a``,
+    else the list of its points: on points whose labels hold commas two
+    subsets may share a label."""
+    label = subset_label(pts, a)
+    try:
+        if read(label) == a:
+            return label
+    except DocumentError:
+        pass
+    return str([pts[i] for i in bits(a)])
 
 
 def space_from_doc(doc: Any) -> FiniteConvergenceSpace:

@@ -18,13 +18,16 @@ antecedent names ``topological``, else the pretopological tables when it
 names ``pretopological`` or both ``strict`` and ``limit``, and every
 antitone table otherwise.
 
-Each candidate is judged through :class:`~coframes.convergence.ClassFlags`:
-only the flags the conjecture names are computed, cheapest first, and only
-until the verdict is known.  A candidate table is judged on the table
-(``ClassFlags.of_table``), so a structure is built only for a witness or for
-a flag that reads one (``centered``, ``topological``).  Every flag is exact
-at every carrier size; a full classification runs once, for the reported
-witness.
+Each conjecture compiles, once, a read plan: the flags it names, cheapest
+first, each with its role.  A fixture is judged by walking the plan over its
+:class:`~coframes.convergence.ClassFlags`; the candidates of the sweep and of
+the random phase are tables, judged by the plan bound to their carrier once
+per carrier per call (:meth:`Conjecture.judge`).  Either way only the flags
+the conjecture names are computed, in the same order, and only until the
+verdict is known, and a table's structure is built only for a flag that
+reads one (``centered``, ``topological``) or for the witness.  Every flag is
+exact at every carrier size; a full classification runs once, for the
+reported witness.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import random
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import groupby, permutations, product
-from typing import Any, Iterator, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Mapping
 
 from .convergence import (
     CLASS_COST_ORDER,
@@ -41,6 +45,7 @@ from .convergence import (
     ConvergenceStructure,
     StructureClass,
     classify,
+    table_class_tests,
 )
 from .documents import convergence_to_doc
 from .errors import BudgetExceeded, ConjectureError
@@ -74,19 +79,36 @@ _LARGEST_CARRIER = 17
 @dataclass(frozen=True)
 class Conjecture:
     """``antecedent => consequent`` over class predicates; an empty
-    antecedent claims the consequent holds for every structure."""
+    antecedent claims the consequent holds for every structure.
+
+    Construction compiles the conjecture's read plan: the named flags
+    cheapest first (``CLASS_COST_ORDER``), each with whether the antecedent
+    names it, whether the consequent does, and whether it is the last flag
+    the consequent names.  :meth:`refuted_by` walks the plan over a mapping
+    of flags, :meth:`judge` over the tables of one carrier."""
 
     antecedent: tuple[str, ...]
     consequent: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        # refuted_by reads only the names it knows, so unknown ones must not
+        # the plan holds only the names it knows, so unknown ones must not
         # get this far
         for name in self.antecedent + self.consequent:
             if name not in PREDICATES:
                 raise ConjectureError(
                     f"unknown predicate {name!r}; choose from {', '.join(PREDICATES)}"
                 )
+        named = [n for n in CLASS_COST_ORDER if n in self.antecedent + self.consequent]
+        last = max((i for i, n in enumerate(named) if n in self.consequent), default=-1)
+        plan = tuple(
+            (n, n in self.antecedent, n in self.consequent, i == last)
+            for i, n in enumerate(named)
+        )
+        # not fields: equality, hashing, repr and asdict see only the two sides
+        object.__setattr__(self, "_plan", plan)
+        object.__setattr__(
+            self, "_reads", tuple((itemgetter(n), *roles) for n, *roles in plan)
+        )
 
     def text(self) -> str:
         rhs = " & ".join(self.consequent)
@@ -97,26 +119,46 @@ class Conjecture:
     def refuted_by(self, flags: Mapping[str, bool]) -> bool:
         """Whether the flags satisfy the antecedent and break the consequent.
 
-        The named flags are read cheapest first (``CLASS_COST_ORDER``), and
-        reading stops once an antecedent flag is false or every consequent
-        flag is true, so a lazy mapping such as :class:`ClassFlags` computes
-        only what the answer needs.
+        The named flags are read along the read plan, cheapest first
+        (``CLASS_COST_ORDER``), and reading stops once an antecedent flag is
+        false or every consequent flag is true, so a lazy mapping such as
+        :class:`ClassFlags` computes only what the answer needs.
         """
-        unread = set(self.consequent)
-        broken = False  # some consequent flag is false
-        for name in CLASS_COST_ORDER:
-            in_antecedent = name in self.antecedent
-            if not in_antecedent and (broken or name not in unread):
-                continue
-            value = flags[name]
-            if in_antecedent and not value:
-                return False
-            if name in unread:
-                unread.discard(name)
-                broken = not value or broken
-                if not unread and not broken:
-                    return False
-        return broken
+        return _walk(self._reads, flags)
+
+    def judge(self, lattice: FiniteLattice) -> Callable[[tuple[int, ...]], bool]:
+        """``refuted_by`` for the antitone tables on ``lattice``, with the
+        read plan bound to the carrier once: the verdict on a table is
+        ``refuted_by(ClassFlags(structure))`` on its structure, read flag by
+        flag in the same order, and a structure is built only for
+        ``centered`` or ``topological`` (see
+        :func:`~coframes.convergence.table_class_tests`)."""
+        tests = table_class_tests(lattice, [name for name, *_ in self._plan])
+        steps = tuple((test, *roles) for test, (_, *roles) in zip(tests, self._plan))
+        return partial(_walk, steps)
+
+
+# a step of a read plan: the read, whether the antecedent names its flag,
+# whether the consequent does, and whether it is the consequent's last flag
+_Step = tuple[Callable[[Any], bool], bool, bool, bool]
+
+
+def _walk(steps: tuple[_Step, ...], subject: Any) -> bool:
+    """Walk a read plan whose reads take ``subject``: whether the flags read
+    satisfy the antecedent and break the consequent.  Once a consequent flag
+    is false only antecedent flags are read."""
+    broken = False  # some consequent flag is false
+    for read, in_antecedent, in_consequent, last in steps:
+        if broken and not in_antecedent:
+            continue
+        value = read(subject)
+        if in_antecedent and not value:
+            return False
+        if in_consequent and not value:
+            broken = True
+        elif last and not broken:
+            return False
+    return broken
 
 
 def _parse_conjunction(text: str, side: str) -> tuple[str, ...]:
@@ -242,18 +284,14 @@ def _names_pretopological(antecedent: tuple[str, ...]) -> bool:
     return "pretopological" in antecedent or {"strict", "limit"} <= set(antecedent)
 
 
-def _candidates(antecedent: tuple[str, ...], lat: FiniteLattice) -> Iterator[ClassFlags]:
-    """The flags of every structure on the carrier that can satisfy the
+def _candidates(antecedent: tuple[str, ...], lat: FiniteLattice) -> Iterator[tuple[int, ...]]:
+    """The table of every structure on the carrier that can satisfy the
     antecedent: the topological ones when it names ``topological``, else the
     pretopological ones when it implies ``pretopological``, else every
-    antitone table.  Tables are judged as tables; a structure is built only
-    when a flag or the caller reads one."""
+    antitone table."""
     if "topological" in antecedent:
-        return map(ClassFlags, map(lim_of_C, enumerate_topologies(lat)))
-    tables = enumerate_antitone_tables(
-        lat, pretopological=_names_pretopological(antecedent)
-    )
-    return map(partial(ClassFlags.of_table, lat), tables)
+        return (lim_of_C(ts).limtab for ts in enumerate_topologies(lat))
+    return enumerate_antitone_tables(lat, pretopological=_names_pretopological(antecedent))
 
 
 def _random_candidate(
@@ -262,16 +300,16 @@ def _random_candidate(
     lat: FiniteLattice,
     topologies: dict[FiniteLattice, list[TopologicalStructure]],
     judged: set[tuple[FiniteLattice, Any]],
-) -> ClassFlags | None:
-    """The flags of one seeded draw from the class of :func:`_candidates` on
-    ``lat``, or ``None`` when the same structure on ``lat`` was drawn, and so
-    judged, before.
+) -> tuple[int, ...] | None:
+    """The table of one seeded draw from the class of :func:`_candidates`
+    on ``lat``, or ``None`` when the same structure on ``lat`` was drawn,
+    and so judged, before.
 
     ``topologies`` (each carrier's topologies, listed on its first draw) and
-    ``judged`` (the carrier and draw of every structure returned) are owned
-    by the caller, like the carrier pool of
+    ``judged`` (the carrier and draw of every table returned) are owned by
+    the caller, like the carrier pool of
     :func:`~coframes.fixtures.random_downset_lattice`.  They change neither
-    the draws nor the structures: ``rng.choice`` on an equal list picks the
+    the draws nor the tables: ``rng.choice`` on an equal list picks the
     same position."""
     if "topological" in antecedent:
         if lat not in topologies:
@@ -285,8 +323,8 @@ def _random_candidate(
         return None
     judged.add((lat, drawn))
     if "topological" in antecedent:
-        return ClassFlags(lim_of_C(drawn))
-    return ClassFlags.of_table(lat, drawn)
+        return lim_of_C(drawn).limtab
+    return drawn
 
 
 # ---------------------------------------------------------------------------
@@ -362,28 +400,35 @@ def search_counterexample(
     antecedent = conjecture.antecedent
     for lat in small_coframes(max_lattice):
         lattices += 1
-        for flags in _candidates(antecedent, lat):
+        judge = conjecture.judge(lat)
+        for tab in _candidates(antecedent, lat):
             structures += 1
             if structures > _EXHAUSTIVE_STRUCTURE_CAP:
                 raise BudgetExceeded(
                     f"more than {_EXHAUSTIVE_STRUCTURE_CAP} candidate structures; "
                     "lower --max-lattice"
                 )
-            if conjecture.refuted_by(flags):
-                return result(f"enumerated:{lat.name}[{lat.n}]", flags.structure)
+            if judge(tab):
+                witness = ConvergenceStructure(lat, tab)
+                return result(f"enumerated:{lat.name}[{lat.n}]", witness)
 
-    # the carrier pool, each carrier's topologies and the structures judged
-    # live for this call only
+    # the carrier pool, each carrier's topologies and judge, and the
+    # structures judged live for this call only
     rng = random.Random(seed)
     carriers: dict = {}
     topologies: dict = {}
+    judges: dict = {}
     judged: set = set()
     for i in range(budget):
         lat = random_downset_lattice(rng, max(8, max_lattice), carriers=carriers)
-        flags = _random_candidate(antecedent, rng, lat, topologies, judged)
+        tab = _random_candidate(antecedent, rng, lat, topologies, judged)
         structures += 1
-        if flags is not None and conjecture.refuted_by(flags):
-            return result(f"random:{i}", flags.structure)
+        if tab is None:
+            continue
+        if lat not in judges:
+            judges[lat] = conjecture.judge(lat)
+        if judges[lat](tab):
+            return result(f"random:{i}", ConvergenceStructure(lat, tab))
 
     return SearchResult(
         conjecture=conjecture,

@@ -474,6 +474,18 @@ class TestSubsetReader:
         assert time.perf_counter() - start < 5.0
 
 
+    def test_missing_subsets_are_named_apart(self):
+        # "{x,x,x}" is the label of both {"x", "x,x"} and {"x,x,x"}, so a
+        # missing subset whose label names another one is named by its points
+        for read, key in ((space_from_doc, "lim"), (adherence_space_from_doc, "nu")):
+            with pytest.raises(DocumentError) as err:
+                read({"points": ["x", "x,x", "x,x,x"], key: {"{}": "{}"}})
+            assert str(err.value) == (
+                f'"{key}" is missing 7 entries: '
+                "{x}, {x,x}, ['x', 'x,x'], ['x,x,x'], {x,x,x,x}, ..."
+            )
+
+
 class TestDispatch:
     def test_document_kind_sniffing(self):
         assert document_kind(lattice_to_doc(lattice_fixture("M3"))) == "lattice"

@@ -34,8 +34,13 @@ flags = {
     for name in convergence_fixture_names()
 }
 searches = {}
-for text in ("topological => pretopological", "limit"):
-    result = search_counterexample(parse_conjecture(text), max_lattice=5)
+# the last one reads centered, a flag that builds each table's structure
+for text, max_lattice in (
+    ("topological => pretopological", 5),
+    ("limit", 5),
+    ("limit & centered => strict", 6),
+):
+    result = search_counterexample(parse_conjecture(text), max_lattice=max_lattice)
     searches[text] = [result.outcome, result.origin, result.structures_tested]
 print(json.dumps({"optimize": sys.flags.optimize, "flags": flags, "searches": searches}))
 """
@@ -63,3 +68,4 @@ def test_optimized_mode_gives_identical_answers():
     assert optimized == plain
     assert plain["searches"]["topological => pretopological"][0] == "exhausted"
     assert plain["searches"]["limit"][0] == "counterexample"
+    assert plain["searches"]["limit & centered => strict"] == ["exhausted", None, 3099]

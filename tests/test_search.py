@@ -4,6 +4,7 @@ counterexample search."""
 import dataclasses
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -110,6 +111,42 @@ class ReadLog(dict):
         return super().__getitem__(name)
 
 
+def reference_refuted_by(conjecture, flags):
+    """The verdict of ``Conjecture.refuted_by`` walked afresh over
+    ``CLASS_COST_ORDER``, the oracle for its read plan: read the named flags
+    cheapest first, skip consequent flags once one is false, and stop once
+    an antecedent flag is false or every consequent flag is true."""
+    unread = set(conjecture.consequent)
+    broken = False
+    for name in CLASS_COST_ORDER:
+        in_antecedent = name in conjecture.antecedent
+        if not in_antecedent and (broken or name not in unread):
+            continue
+        value = flags[name]
+        if in_antecedent and not value:
+            return False
+        if name in unread:
+            unread.discard(name)
+            broken = broken or not value
+            if not unread and not broken:
+                return False
+    return broken
+
+
+def conjectures_of_two():
+    """Every conjecture with at most two predicates on each side."""
+    sides = [side for k in (1, 2) for side in combinations(PREDICATES, k)]
+    return [Conjecture(a, c) for a in [(), *sides] for c in sides]
+
+
+def by_carrier(structures):
+    """(carrier, its structures) pairs, in order of first appearance."""
+    carriers = {}
+    for cs in structures:
+        carriers.setdefault(cs.lattice, []).append(cs)
+    return carriers.items()
+
+
 class TestLazyFlags:
     STRUCTURES = [
         ConvergenceStructure(lat, t)
@@ -128,14 +165,45 @@ class TestLazyFlags:
                 ), (conjecture.text(), cs)
             assert dict(ClassFlags(cs)) == full.flags()
 
-    def test_table_flags_match_structure_flags(self):
-        for cs in self.STRUCTURES:
-            by_structure = dict(ClassFlags(cs))
-            assert dict(ClassFlags.of_table(cs.lattice, cs.limtab)) == by_structure
-            for conjecture in self.CONJECTURES:
-                assert conjecture.refuted_by(
-                    ClassFlags.of_table(cs.lattice, cs.limtab)
-                ) == conjecture.refuted_by(by_structure), (conjecture.text(), cs)
+    def test_table_flags_match_structure_flags(self, monkeypatch):
+        # the bound judge reads the tables of every structure on
+        # small_coframes(5) and of every fixture: its verdict is that of the
+        # lazy and of the full flags, and it reads the flags the reference
+        # walk reads, in the same order, as refuted_by does
+        read = []
+
+        def logging(name, bind):
+            def bound(lat, structure):
+                test = bind(lat, structure)
+
+                def logged(tab):
+                    read.append(name)
+                    return test(tab)
+
+                return logged
+
+            return bound
+
+        tests = convergence_module._CLASS_TESTS
+        for name, bind in list(tests.items()):
+            monkeypatch.setitem(tests, name, logging(name, bind))
+        fixtures = [convergence_fixture(name) for name in convergence_fixture_names()]
+        carriers = by_carrier(self.STRUCTURES + fixtures)
+        lazy = {cs: ClassFlags(cs) for cs in self.STRUCTURES + fixtures}
+        full = {cs: classify(cs).flags() for cs in self.STRUCTURES + fixtures}
+        for conjecture in conjectures_of_two():
+            for lat, structures in carriers:
+                judge = conjecture.judge(lat)
+                for cs in structures:
+                    log = ReadLog(full[cs])
+                    expected = reference_refuted_by(conjecture, log)
+                    read.clear()
+                    assert judge(cs.limtab) == expected, (conjecture.text(), cs)
+                    assert read == log.read, (conjecture.text(), cs)
+                    log.read.clear()
+                    assert conjecture.refuted_by(log) == expected, (conjecture.text(), cs)
+                    assert log.read == read, (conjecture.text(), cs)
+                    assert conjecture.refuted_by(lazy[cs]) == expected, (conjecture.text(), cs)
 
     def test_table_flags_build_a_structure_only_when_one_is_read(self, monkeypatch):
         built = []
@@ -146,16 +214,25 @@ class TestLazyFlags:
 
         trusted = convergence_module._trusted
         monkeypatch.setattr(convergence_module, "_trusted", counting)
-        for cs in self.STRUCTURES:
-            flags = ClassFlags.of_table(cs.lattice, cs.limtab)
-            for name in ("strict", "limit", "pretopological", "classical"):
-                flags[name]
+        carriers = by_carrier(self.STRUCTURES)
+        structure_level = {"centered", "topological"}
+        for conjecture in conjectures_of_two():
+            if structure_level & {*conjecture.antecedent, *conjecture.consequent}:
+                continue
+            for lat, structures in carriers:
+                judge = conjecture.judge(lat)
+                for cs in structures:
+                    judge(cs.limtab)
         assert built == []
+        # both structure-level flags are read on every centered table, and
+        # share its one structure
+        claim = Conjecture((), ("centered", "topological"))
+        for lat, structures in carriers:
+            judge = claim.judge(lat)
+            for cs in structures:
+                assert judge(cs.limtab) == claim.refuted_by(classify(cs).flags())
+        assert built == [cs.limtab for cs in self.STRUCTURES]
         cs = self.STRUCTURES[-1]
-        flags = ClassFlags.of_table(cs.lattice, cs.limtab)
-        assert dict(flags) == dict(ClassFlags(cs))
-        assert flags.structure is flags.structure
-        assert built == [cs.limtab]
         assert ClassFlags(cs).structure is cs
 
     def test_derived_tables_are_built_once_per_structure(self):
@@ -276,7 +353,7 @@ class TestClassGenerators:
         for lat in sweep + fixture_carriers():
             everything = [ConvergenceStructure(lat, t) for t in enumerate_antitone_tables(lat)]
             for name in ("topological", "pretopological"):
-                generated = [flags.limtab for flags in _candidates((name,), lat)]
+                generated = list(_candidates((name,), lat))
                 expected = {cs.limtab for cs in everything if ClassFlags(cs)[name]}
                 assert len(generated) == len(set(generated)), (lat, name)
                 assert set(generated) == expected, (lat, name)
@@ -288,14 +365,12 @@ class TestClassGenerators:
         lat = lattice_fixture("V5")
         pretop = set(enumerate_antitone_tables(lat, pretopological=True))
         for antecedent in (("pretopological",), ("limit", "strict"), ("centered", "pretopological")):
-            assert {flags.limtab for flags in _candidates(antecedent, lat)} == pretop
+            assert set(_candidates(antecedent, lat)) == pretop
         everything = set(enumerate_antitone_tables(lat))
         for antecedent in (("centered",), ("strict",), ("limit",)):
-            assert {flags.limtab for flags in _candidates(antecedent, lat)} == everything
-        topological = {
-            flags.limtab for flags in _candidates(("pretopological", "topological"), lat)
-        }
-        assert topological == {flags.limtab for flags in _candidates(("topological",), lat)}
+            assert set(_candidates(antecedent, lat)) == everything
+        topological = set(_candidates(("pretopological", "topological"), lat))
+        assert topological == set(_candidates(("topological",), lat))
         assert topological < pretop
 
     def test_pretopological_tables_are_antitone_on_any_carrier(self):
@@ -314,11 +389,11 @@ class TestClassGenerators:
         rng = random.Random(7)
         for lat in list(small_coframes(7)) + fixture_carriers():
             for _ in range(5):
-                flags = _random_candidate(("pretopological",), rng, lat, {}, set())
-                cs = ConvergenceStructure(lat, flags.limtab)
+                tab = _random_candidate(("pretopological",), rng, lat, {}, set())
+                cs = ConvergenceStructure(lat, tab)
                 assert ClassFlags(cs)["pretopological"], (lat, cs)
-            flags = _random_candidate(("topological",), rng, lat, {}, set())
-            assert ClassFlags(flags.structure)["topological"], (lat, flags.structure)
+            cs = ConvergenceStructure(lat, _random_candidate(("topological",), rng, lat, {}, set()))
+            assert ClassFlags(cs)["topological"], (lat, cs)
 
 
 class TestSearch:
